@@ -3,11 +3,15 @@
 Commands: fig2 (qubit-source sweep), fig3 (invariant region + per-angle
 maxima), fig4 (initial/ceiling/max curves + staircase), iterate (iterated
 transfer), maximize (single-angle search), verify (self-check report).
-Output is CSV for curves and JSON for structured results; identical
+``COMMANDS`` is the one table of the settings each command reads: its flag,
+else the same-named key of the ``--config`` JSON file, else the default.
+Every command also takes --out, --seed and --config.  The --out suffix
+selects CSV or JSON (maximize and verify write JSON only).  Identical
 configuration and seed produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 mandatory verification
-failure.
+Exit codes: 0 success, 2 configuration error (unknown flag or config key;
+malformed, non-finite or out-of-range value; wrong --out suffix), 3
+mandatory verification failure.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -57,55 +61,60 @@ _PI_PATTERN = re.compile(
 )
 
 
+#: Largest accepted magnitude of an angle or time.  Beyond about 1e6 the
+#: spacing of doubles exceeds the 1e-10 algebraic tolerance, so a phase is no
+#: longer resolved, and a time grid spanning +-1e308 overflows.
+ANGLE_LIMIT = 1e6
+
+
 def parse_angle(text: Any) -> float:
-    """Angle in radians; accepts plain floats and 'pi', 'pi/4', '3pi/32'."""
-    if isinstance(text, (int, float)):
-        return float(text)
+    """Angle or time in radians, finite and at most ANGLE_LIMIT in magnitude;
+    accepts plain floats and 'pi', 'pi/4', '3pi/32'."""
     try:
-        return float(text)
-    except ValueError:
-        pass
-    match = _PI_PATTERN.match(str(text))
-    if not match:
-        raise ConfigError(f"cannot parse angle {text!r}")
-    value = float(match.group("coef") or 1.0) * np.pi
-    if match.group("den"):
-        value /= float(match.group("den"))
-    return -value if match.group("sign") else value
+        value = float(text)
+    except (TypeError, ValueError, OverflowError):
+        match = _PI_PATTERN.match(str(text))
+        if not match:
+            raise ConfigError(f"cannot parse angle {text!r}") from None
+        value = float(match.group("coef") or 1.0) * np.pi
+        den = float(match.group("den") or 1.0)
+        if den == 0.0:
+            raise ConfigError(f"zero denominator in angle {text!r}") from None
+        value = -value / den if match.group("sign") else value / den
+    if not abs(value) <= ANGLE_LIMIT:
+        raise ConfigError(f"angle {text!r} is not finite or exceeds {ANGLE_LIMIT:g} in magnitude")
+    return value
 
 
 def parse_source_state(text: Any) -> QutritPairState:
     """Named state A/B/C or an amplitude triple (normalized)."""
-    if isinstance(text, QutritPairState):
-        return text
-    if isinstance(text, (list, tuple)):
-        if len(text) != 3:
-            raise ConfigError(f"source state needs three amplitudes, got {text!r}")
-        return QutritPairState.normalized(*(float(v) for v in text))
-    text = str(text).strip()
-    if text.upper() in ("A", "B", "C"):
-        return QutritPairState.from_label(text)
-    parts = text.split(",")
-    if len(parts) != 3:
+    if isinstance(text, str) and text.strip().upper() in ("A", "B", "C"):
+        return QutritPairState.from_label(text.strip())
+    parts = text.split(",") if isinstance(text, str) else text
+    if not isinstance(parts, (list, tuple)) or len(parts) != 3:
         raise ConfigError(f"source state must be A, B, C or 'k0,k1,k2', got {text!r}")
     try:
-        return QutritPairState.normalized(*(float(p) for p in parts))
-    except ValueError as exc:
+        amps = [float(p) for p in parts]
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
+        with np.errstate(over="raise"):  # a sum of squares past 1e308 would only warn
+            return QutritPairState.normalized(*amps)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad source amplitudes {text!r}: {exc}") from exc
 
 
 def parse_budget(text: Any) -> SearchBudget:
     """Search budget as 'coarse[:refinements[:shrink]]' or a bare integer."""
-    if isinstance(text, SearchBudget):
-        return text
     parts = str(text).split(":")
     try:
+        if len(parts) > 3:
+            raise ValueError("too many fields")
         coarse = int(parts[0])
         refinements = int(parts[1]) if len(parts) > 1 else 3
         shrink = float(parts[2]) if len(parts) > 2 else 5.0
         return SearchBudget(coarse, refinements, shrink)
     except (ValueError, IndexError) as exc:
-        raise ConfigError(f"bad budget {text!r}: expected coarse[:refinements[:shrink]]") from exc
+        raise ConfigError(f"budget {text!r}, want coarse[:refinements[:shrink]]: {exc}") from exc
 
 
 def format_value(value: Any) -> str:
@@ -118,43 +127,24 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
     lines = [",".join(header)]
     lines.extend(",".join(format_value(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def write_json(path: Path, payload: Any) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
 
 
-def write_table(path: Path, fmt: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    if fmt == "csv":
-        write_csv(path, header, rows)
-    else:
+def write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    """CSV, or JSON when ``path`` ends in .json."""
+    if path.suffix == ".json":
         write_json(path, {"header": list(header), "rows": [list(r) for r in rows]})
+    else:
+        write_csv(path, header, rows)
 
 
 def sibling_path(out: Path, suffix_word: str) -> Path:
     return out.with_name(f"{out.stem}_{suffix_word}{out.suffix}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters of one CLI invocation."""
-
-    command: str
-    out: Path
-    fmt: str = "csv"
-    seed: int = 0
-    theta1: float = 0.0
-    theta2: float = np.pi / 4
-    sp: QutritPairState = STATE_A
-    t_start: float = 0.0
-    t_stop: float = 2.0 * np.pi
-    t_points: int = 601
-    theta_points: int = 65
-    samples: int = 2000
-    e0: float = 0.2
-    steps: int = 4
-    mode: str = MODE_PURE_RESET
-    budget: SearchBudget = SearchBudget()
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -162,62 +152,15 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     return payload
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, name: str, default: Any, parse=None) -> Any:
-    value = getattr(args, name, None)
-    if value is None:
-        value = file_cfg.get(name)
-    if value is None:
-        return default
-    return parse(value) if parse is not None else value
-
-
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    defaults = RunConfig(command=args.command, out=Path(f"{args.command}.csv"))
-    default_out = {
-        "fig2": "fig2.csv",
-        "fig3": "fig3.csv",
-        "fig4": "fig4.csv",
-        "iterate": "iterate.csv",
-        "maximize": "maximize.json",
-        "verify": "verify_report.json",
-    }[args.command]
-    fmt = _resolve(args, file_cfg, "format", "json" if default_out.endswith(".json") else "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
-    cfg = RunConfig(
-        command=args.command,
-        out=Path(_resolve(args, file_cfg, "out", default_out)),
-        fmt=fmt,
-        seed=int(_resolve(args, file_cfg, "seed", 0)),
-        theta1=_resolve(args, file_cfg, "theta1", defaults.theta1, parse_angle),
-        theta2=_resolve(args, file_cfg, "theta2", defaults.theta2, parse_angle),
-        sp=_resolve(args, file_cfg, "sp", defaults.sp, parse_source_state),
-        t_start=_resolve(args, file_cfg, "t_start", defaults.t_start, parse_angle),
-        t_stop=_resolve(args, file_cfg, "t_stop", defaults.t_stop, parse_angle),
-        t_points=int(_resolve(args, file_cfg, "t_points", defaults.t_points)),
-        theta_points=int(_resolve(args, file_cfg, "theta_points", defaults.theta_points)),
-        samples=int(_resolve(args, file_cfg, "samples", defaults.samples)),
-        e0=float(_resolve(args, file_cfg, "e0", defaults.e0)),
-        steps=int(_resolve(args, file_cfg, "steps", defaults.steps)),
-        mode=canonical_mode(_resolve(args, file_cfg, "mode", defaults.mode)),
-        budget=_resolve(args, file_cfg, "budget", defaults.budget, parse_budget),
-    )
-    if cfg.t_points < 2:
-        raise ConfigError(f"t-points must be at least 2, got {cfg.t_points}")
-    if cfg.theta_points < 2:
-        raise ConfigError(f"theta-points must be at least 2, got {cfg.theta_points}")
-    return cfg
-
-
-def cmd_fig2(cfg: RunConfig) -> int:
+def cmd_fig2(cfg: argparse.Namespace) -> int:
+    """Qubit-source negativity sweep over time."""
     tp = QubitPairState(cfg.theta1)
     sp = QubitPairState(cfg.theta2)
     rows = []
@@ -236,20 +179,16 @@ def cmd_fig2(cfg: RunConfig) -> int:
                 coeffs.f.imag,
             ]
         )
-    write_table(cfg.out, cfg.fmt, ["t", "E12", "A", "B", "C", "D", "ReF", "ImF"], rows)
-    print(f"wrote {cfg.out}")
+    write_table(cfg.out, ["t", "E12", "A", "B", "C", "D", "ReF", "ImF"], rows)
     return EXIT_OK
 
 
-def cmd_fig3(cfg: RunConfig) -> int:
-    if cfg.samples < 100:
-        raise ConfigError(f"need at least 100 region samples, got {cfg.samples}")
+def cmd_fig3(cfg: argparse.Namespace) -> int:
+    """Invariant-region samples and per-angle maxima."""
     region_rows = []
     for state, point in sample_physical_region(cfg.samples, cfg.seed):
         region_rows.append([state.k0, state.k1, state.k2, point.i1, point.i2, point.i1p, point.i2p])
-    write_table(
-        cfg.out, cfg.fmt, ["k0", "k1", "k2", "I1", "I2", "I1p", "I2p"], region_rows
-    )
+    write_table(cfg.out, ["k0", "k1", "k2", "I1", "I2", "I1p", "I2p"], region_rows)
     maxima_rows = []
     for theta1 in FIG3_THETA_GRID:
         result = maximize_E12_half_period(theta1, cfg.budget)
@@ -261,16 +200,14 @@ def cmd_fig3(cfg: RunConfig) -> int:
     maxima_path = sibling_path(cfg.out, "maxima")
     write_table(
         maxima_path,
-        cfg.fmt,
         ["theta1", "E_max", "k0", "k1", "k2", "I1", "I2", "I1p", "I2p"],
         maxima_rows,
     )
-    print(f"wrote {cfg.out}")
-    print(f"wrote {maxima_path}")
     return EXIT_OK
 
 
-def cmd_fig4(cfg: RunConfig) -> int:
+def cmd_fig4(cfg: argparse.Namespace) -> int:
+    """Initial/ceiling/maximum curves plus the staircase file."""
     thetas = np.linspace(0.0, np.pi / 4, cfg.theta_points)
     rows = []
     results = []
@@ -288,13 +225,11 @@ def cmd_fig4(cfg: RunConfig) -> int:
                 result.e_max,
             ]
         )
-    write_table(cfg.out, cfg.fmt, ["theta1", "E_initial", "E_A", "E_B", "E_max"], rows)
-    print(f"wrote {cfg.out}")
+    write_table(cfg.out, ["theta1", "E_initial", "E_A", "E_B", "E_max"], rows)
     print(f"E_max monotone non-decreasing along grid: {emax_is_nondecreasing(results)}")
     fold_rows = _iteration_rows(iterate_transfer(cfg.e0, cfg.sp, cfg.steps, cfg.mode))
     fold_path = sibling_path(cfg.out, "foldline")
-    write_table(fold_path, cfg.fmt, _ITERATION_HEADER, fold_rows)
-    print(f"wrote {fold_path}")
+    write_table(fold_path, _ITERATION_HEADER, fold_rows)
     return EXIT_OK
 
 
@@ -318,18 +253,15 @@ def _iteration_rows(records) -> list[list[Any]]:
     return rows
 
 
-def cmd_iterate(cfg: RunConfig) -> int:
-    if not 0.0 <= cfg.e0 <= 1.0:
-        raise ConfigError(f"e0 must lie in [0, 1], got {cfg.e0}")
-    if cfg.steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {cfg.steps}")
+def cmd_iterate(cfg: argparse.Namespace) -> int:
+    """Iterated half-period transfer."""
     records = iterate_transfer(cfg.e0, cfg.sp, cfg.steps, cfg.mode)
-    write_table(cfg.out, cfg.fmt, _ITERATION_HEADER, _iteration_rows(records))
-    print(f"wrote {cfg.out}")
+    write_table(cfg.out, _ITERATION_HEADER, _iteration_rows(records))
     return EXIT_OK
 
 
-def cmd_maximize(cfg: RunConfig) -> int:
+def cmd_maximize(cfg: argparse.Namespace) -> int:
+    """Single-angle maximization over qutrit source states."""
     result = maximize_E12_half_period(cfg.theta1, cfg.budget)
     k = result.argmax_state
     inv = result.argmax_invariants
@@ -340,20 +272,15 @@ def cmd_maximize(cfg: RunConfig) -> int:
         "invariants": {"I1": inv.i1, "I2": inv.i2, "I1p": inv.i1p, "I2p": inv.i2p},
         "evaluations": result.evaluations,
         "refinement_depth": result.refinement_depth,
-        "budget": {
-            "coarse": cfg.budget.coarse,
-            "refinements": cfg.budget.refinements,
-            "shrink": cfg.budget.shrink,
-        },
+        "budget": asdict(cfg.budget),
     }
     write_json(cfg.out, payload)
-    print(f"wrote {cfg.out}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
+    """Run the self-check suite and write a JSON report."""
     report = run_checks(cfg.seed)
-    write_json(cfg.out, report)
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         if check["passed"] is None:
@@ -362,64 +289,135 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"{status:>4}  {check['name']}: max deviation {check['max_deviation']:.3e}"
             f" (tol {check['tolerance']:.1e})"
         )
-    print(f"wrote {cfg.out}")
+    write_json(cfg.out, report)
     return EXIT_OK if report["mandatory_passed"] else EXIT_VERIFY
 
 
-_COMMANDS = {
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "fig4": cmd_fig4,
-    "iterate": cmd_iterate,
-    "maximize": cmd_maximize,
-    "verify": cmd_verify,
+def _count(minimum: int) -> Callable[[Any], int]:
+    """Parser of an integer setting that must be at least ``minimum``."""
+
+    def parse(value: Any) -> int:
+        number = int(str(value))
+        if number < minimum:
+            raise ConfigError(f"must be at least {minimum}, got {number}")
+        return number
+
+    return parse
+
+
+def _parse_fraction(value: Any) -> float:
+    number = float(str(value))
+    if not 0.0 <= number <= 1.0:
+        raise ConfigError(f"must lie in [0, 1], got {value!r}")
+    return number
+
+
+class Setting(NamedTuple):
+    """A value a command reads: flag ``--name`` with dashes for underscores,
+    else config key ``name``, else ``default``.  ``parse`` rejects values that
+    are malformed, not finite or out of range."""
+
+    name: str
+    parse: Callable[[Any], Any]
+    default: Any
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+class Command(NamedTuple):
+    """Handler (its docstring is the command's help), default output path,
+    accepted ``--out`` suffixes and the settings read besides --out and --seed."""
+
+    run: Callable[[argparse.Namespace], int]
+    out: str
+    suffixes: tuple[str, ...]
+    settings: tuple[Setting, ...] = ()
+
+    def schema(self) -> tuple[Setting, ...]:
+        out = Setting("out", Path, Path(self.out), f"output path ({', '.join(self.suffixes)})")
+        return (out, _SEED) + self.settings
+
+
+_SEED = Setting("seed", _count(0), 0, "seed for sampled checks and region fills")
+_THETA1 = Setting("theta1", parse_angle, 0.0, "target Schmidt angle (radians or 'pi/4')")
+_THETA2 = Setting("theta2", parse_angle, np.pi / 4, "qubit-source Schmidt angle")
+_T_START = Setting("t_start", parse_angle, 0.0, "sweep start time")
+_T_STOP = Setting("t_stop", parse_angle, 2.0 * np.pi, "sweep stop time")
+_T_POINTS = Setting("t_points", _count(2), 601, "sweep grid size, at least 2")
+_THETA_POINTS = Setting("theta_points", _count(2), 65, "target-angle grid size, at least 2")
+_SAMPLES = Setting("samples", _count(100), 2000, "region sample count, at least 100")
+_BUDGET = Setting("budget", parse_budget, SearchBudget(), "search coarse[:refinements[:shrink]]")
+_E0 = Setting("e0", _parse_fraction, 0.2, "initial target negativity, in [0, 1]")
+_SP = Setting("sp", parse_source_state, STATE_A, "qutrit source: A, B, C or 'k0,k1,k2'")
+_STEPS = Setting("steps", _count(1), 4, "iteration count, at least 1")
+_MODE = Setting("mode", canonical_mode, MODE_PURE_RESET, "pure-reset or mixed")
+_STAIRCASE = (_E0, _SP, _STEPS, _MODE)
+_TABLE, _JSON = (".csv", ".json"), (".json",)
+
+COMMANDS: dict[str, Command] = {
+    "fig2": Command(cmd_fig2, "fig2.csv", _TABLE, (_THETA1, _THETA2, _T_START, _T_STOP, _T_POINTS)),
+    "fig3": Command(cmd_fig3, "fig3.csv", _TABLE, (_SAMPLES, _BUDGET)),
+    "fig4": Command(cmd_fig4, "fig4.csv", _TABLE, (_THETA_POINTS, _BUDGET) + _STAIRCASE),
+    "iterate": Command(cmd_iterate, "iterate.csv", _TABLE, _STAIRCASE),
+    "maximize": Command(cmd_maximize, "maximize.json", _JSON, (_THETA1, _BUDGET)),
+    "verify": Command(cmd_verify, "verify_report.json", _JSON),
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigError where argparse would exit, so that main returns
+    EXIT_CONFIG to a caller that invoked it directly."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spin-transfer",
         description="Entanglement transfer between spin pairs: sweeps, maximization, iteration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    command_help = {
-        "fig2": "qubit-source negativity sweep over time",
-        "fig3": "invariant-region samples and per-angle maxima",
-        "fig4": "initial/ceiling/maximum curves plus the staircase file",
-        "iterate": "iterated half-period transfer",
-        "maximize": "single-angle maximization over qutrit source states",
-        "verify": "run the self-check suite and write a JSON report",
-    }
-    for name, help_text in command_help.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--theta1", help="target Schmidt angle (radians or 'pi/4')")
-        p.add_argument("--theta2", help="qubit-source Schmidt angle")
-        p.add_argument("--sp", help="qutrit source: A, B, C or 'k0,k1,k2'")
-        p.add_argument("--t-start", dest="t_start", help="sweep start time")
-        p.add_argument("--t-stop", dest="t_stop", help="sweep stop time")
-        p.add_argument("--t-points", dest="t_points", type=int, help="sweep grid size")
-        p.add_argument(
-            "--theta-points", dest="theta_points", type=int, help="target-angle grid size"
-        )
-        p.add_argument("--samples", type=int, help="region sample count")
-        p.add_argument("--e0", type=float, help="initial target negativity")
-        p.add_argument("--steps", type=int, help="iteration count")
-        p.add_argument("--mode", choices=["pure-reset", "mixed"], help="iteration bookkeeping")
-        p.add_argument("--budget", help="search budget coarse[:refinements[:shrink]]")
-        p.add_argument("--seed", type=int, help="seed for sampled checks and region fills")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--format", dest="format", choices=["csv", "json"], help="table format")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__)
+        for setting in command.schema():
+            p.add_argument(setting.flag, dest=setting.name, help=setting.help)
         p.add_argument("--config", help="JSON config file; flags override its entries")
     return parser
 
 
+def _resolve(command: Command, args: argparse.Namespace) -> argparse.Namespace:
+    """Set each setting in ``args`` to its parsed flag, else config key, else default."""
+    file_cfg = _load_config_file(args.config)
+    schema = command.schema()
+    unknown = sorted(set(file_cfg) - {s.name for s in schema})
+    if unknown:
+        expected = ", ".join(s.name for s in schema)
+        raise ConfigError(f"unknown config key {unknown[0]!r}; {args.command} reads {expected}")
+    for setting in schema:
+        flag_value = getattr(args, setting.name)
+        raw = file_cfg.get(setting.name) if flag_value is None else flag_value
+        try:
+            value = setting.default if raw is None else setting.parse(raw)
+        except (ConfigError, ValueError, TypeError) as exc:
+            field = f"config key {setting.name!r}" if flag_value is None else setting.flag
+            raise ConfigError(f"{field}: {exc}") from None
+        setattr(args, setting.name, value)
+    if args.out.suffix not in command.suffixes:
+        expected = " or ".join(command.suffixes)
+        raise ConfigError(f"--out: expected a {expected} file, got {str(args.out)!r}")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = build_run_config(args)
-        return _COMMANDS[args.command](cfg)
-    except (ConfigError, ValueError) as exc:
+        args = build_parser().parse_args(argv)
+        command = COMMANDS[args.command]
+        return command.run(_resolve(command, args))
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

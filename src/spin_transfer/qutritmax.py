@@ -123,7 +123,7 @@ class SearchBudget:
     shrink: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.coarse < 2 or self.refinements < 0 or self.shrink <= 1.0:
+        if self.coarse < 2 or self.refinements < 0 or not 1.0 < self.shrink < np.inf:
             raise ValueError(f"invalid search budget {self}")
 
     @property
@@ -170,6 +170,8 @@ def maximize_E12_half_period(
     lowest (k0^2, k1^2) lexicographically, and the best point ever seen is
     kept across refinement rounds.
     """
+    if not np.isfinite(theta1):
+        raise ValueError(f"theta1 must be finite, got {theta1!r}")
     lo = np.array([0.0, 0.0])
     hi = np.array([np.pi / 2, np.pi / 2])
     best_value = -1.0

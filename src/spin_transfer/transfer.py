@@ -76,7 +76,7 @@ class QutritPairState:
             object.__setattr__(self, name, float(val))
             amps.append(float(getattr(self, name)))
         norm_sq = sum(a * a for a in amps)
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(
                 f"amplitudes not normalized: sum of squares is {norm_sq!r} "
                 f"(tol {NORMALIZATION_TOL:.0e}); use QutritPairState.normalized"

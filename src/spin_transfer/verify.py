@@ -14,6 +14,7 @@ import numpy as np
 
 from .entanglement import XStateCoeffs, negativity, negativity_xstate
 from .model import TransferModel, closed_form_propagator, pair_propagator
+from .qla import DEFAULT_ALGEBRAIC_TOL
 from .qutritmax import invariants
 from .transfer import (
     QUBIT_SOURCE_PERIOD,
@@ -28,7 +29,6 @@ from .transfer import (
     qutrit_closed_form_discrepancy,
 )
 
-ALGEBRAIC_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 EXACT_TOL = 1e-12
 
@@ -56,7 +56,7 @@ def check_propagator_closed_form(seed: int = 0, samples: int = 50) -> CheckResul
                 closed_form_propagator(model, t).matrix - pair_propagator(model, t).matrix
             ).max()
             worst = max(worst, float(dev))
-    return _check("closed-form propagator vs eigendecomposition", ALGEBRAIC_TOL, worst)
+    return _check("closed-form propagator vs eigendecomposition", DEFAULT_ALGEBRAIC_TOL, worst)
 
 
 def check_half_period_identity(grid: int = 20) -> CheckResult:
@@ -105,7 +105,7 @@ def check_xstate_formula(seed: int = 0, samples: int = 1000) -> CheckResult:
         fast = negativity_xstate(coeffs).value
         generic = negativity(coeffs.to_operator()).value
         worst = max(worst, abs(fast - generic))
-    return _check("X-state formula vs generic negativity", ALGEBRAIC_TOL, worst)
+    return _check("X-state formula vs generic negativity", DEFAULT_ALGEBRAIC_TOL, worst)
 
 
 def check_qubit_closed_form(grid: int = 10) -> CheckResult:
@@ -118,7 +118,9 @@ def check_qubit_closed_form(grid: int = 10) -> CheckResult:
                 analytic = closed_form_rho12_qubit(t1, t2, t).to_operator().matrix
                 numeric = evolve_reduced(QubitPairState(t1), QubitPairState(t2), t).matrix
                 worst = max(worst, float(np.abs(analytic - numeric).max()))
-    return _check("analytic qubit-source coefficients vs numeric pipeline", ALGEBRAIC_TOL, worst)
+    return _check(
+        "analytic qubit-source coefficients vs numeric pipeline", DEFAULT_ALGEBRAIC_TOL, worst
+    )
 
 
 def check_qutrit_closed_form_endpoints(seed: int = 0, samples: int = 40) -> CheckResult:
@@ -139,7 +141,7 @@ def check_qutrit_closed_form_midtimes(seed: int = 0, samples: int = 64) -> Check
     worst = max(r["max_deviation"] for r in rows)
     return CheckResult(
         "analytic qutrit-source coefficients between revivals (informational)",
-        ALGEBRAIC_TOL,
+        DEFAULT_ALGEBRAIC_TOL,
         float(worst),
         None,
         False,

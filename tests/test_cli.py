@@ -42,6 +42,11 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_angle("two pies")
 
+    @pytest.mark.parametrize("text", ["pi/0", "3pi/0.0", "nan", "inf", "1e7", "1e400pi"])
+    def test_zero_denominator_and_non_finite_angles(self, text):
+        with pytest.raises(ConfigError):
+            parse_angle(text)
+
     def test_source_states(self):
         assert parse_source_state("A") == STATE_A
         assert parse_source_state("b") == STATE_B
@@ -82,7 +87,7 @@ class TestFig2:
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "f2.json"
-        assert main(["fig2", "--t-points", "11", "--format", "json", "--out", str(out)]) == 0
+        assert main(["fig2", "--t-points", "11", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["header"][0] == "t"
         assert len(payload["rows"]) == 11

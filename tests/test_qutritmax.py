@@ -157,6 +157,16 @@ class TestMaximize:
         with pytest.raises(ValueError):
             SearchBudget(refinements=-1)
 
+    @pytest.mark.parametrize("shrink", [float("nan"), float("inf")])
+    def test_budget_rejects_non_finite_shrink(self, shrink):
+        with pytest.raises(ValueError):
+            SearchBudget(20, 2, shrink)
+
+    @pytest.mark.parametrize("theta1", [float("nan"), float("inf")])
+    def test_non_finite_angle_rejected(self, theta1):
+        with pytest.raises(ValueError, match="finite"):
+            maximize_E12_half_period(theta1, SMALL_BUDGET)
+
 
 class TestFrontier:
     def test_line_matches_corner_states_exactly(self):

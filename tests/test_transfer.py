@@ -62,6 +62,10 @@ class TestStates:
         with pytest.raises(ValueError, match="zero"):
             QutritPairState.normalized(0.0, 0.0, 0.0)
 
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            QutritPairState(float("nan"), 0.0, 0.0)
+
 
 class TestInitialFullState:
     def test_all_zero_angles_is_ground_projector(self):
