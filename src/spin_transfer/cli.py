@@ -94,11 +94,7 @@ def parse_source_state(text: Any) -> QutritPairState:
     if not isinstance(parts, (list, tuple)) or len(parts) != 3:
         raise ConfigError(f"source state must be A, B, C or 'k0,k1,k2', got {text!r}")
     try:
-        amps = [float(p) for p in parts]
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        with np.errstate(over="raise"):  # a sum of squares past 1e308 would only warn
-            return QutritPairState.normalized(*amps)
+        return QutritPairState.normalized(*[float(p) for p in parts])
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad source amplitudes {text!r}: {exc}") from exc
 
@@ -412,9 +408,23 @@ def _resolve(command: Command, args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _join_flag_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--flag value`` as ``--flag=value`` unless ``value`` is itself a
+    flag, so that argparse takes a value such as ``-pi/6`` for a value, not a flag."""
+    flags = {s.flag for c in COMMANDS.values() for s in c.schema()} | {"--config"}
+    tokens = list(argv)
+    joined = []
+    while tokens:
+        token = tokens.pop(0)
+        if token in flags and tokens and tokens[0] not in flags | {"-h", "--help"}:
+            token = f"{token}={tokens.pop(0)}"
+        joined.append(token)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
         command = COMMANDS[args.command]
         return command.run(_resolve(command, args))
     except (ConfigError, ValueError, OSError) as exc:

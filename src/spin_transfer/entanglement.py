@@ -1,17 +1,17 @@
-"""Negativity of bipartite states, generic and X-state closed form.
+"""Negativity of two-subsystem states, generic and X-state closed form.
 
-The generic route (eigenvalues of the partial transpose) is the oracle; the
-X-state formula is the fast path used by parameter sweeps.
+The generic route (eigenvalues of the partial transpose) scores every curve
+and staircase step; the vectorized X-state formula is the kernel of the
+half-period search (``qutritmax.negativity_at_half_period``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-from .qla import POSITIVITY_TOL, Operator, default_tol, partial_transpose
+from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator, partial_transpose
 
 X_PATTERN = np.array(
     [
@@ -27,7 +27,7 @@ X_PATTERN = np.array(
 @dataclass(frozen=True)
 class NegativityValue:
     """Negativity with the raw (unclamped) number kept alongside the
-    sanitized value.  Clamping beyond ``tol`` is refused, since a genuinely
+    sanitized value.  Clamping beyond ``POSITIVITY_TOL`` is refused, since a genuinely
     out-of-range number signals an evolution bug.  For qubit pairs the
     attainable range is [0, 1]; for a d x D bipartition it is [0, min-1]."""
 
@@ -35,12 +35,10 @@ class NegativityValue:
     raw: float
 
     @classmethod
-    def from_raw(
-        cls, raw: float, tol: float = POSITIVITY_TOL, upper: float = 1.0
-    ) -> "NegativityValue":
-        if raw < -tol or raw > upper + tol:
+    def from_raw(cls, raw: float, upper: float = 1.0) -> "NegativityValue":
+        if raw < -POSITIVITY_TOL or raw > upper + POSITIVITY_TOL:
             raise ValueError(
-                f"negativity {raw!r} outside [0, {upper}] by more than tol {tol:.1e}"
+                f"negativity {raw!r} outside [0, {upper}] by more than tol {POSITIVITY_TOL:.1e}"
             )
         return cls(min(max(raw, 0.0), upper), raw)
 
@@ -59,13 +57,13 @@ class XStateCoeffs:
     d: float
     f: complex
 
-    def validate(self, tol: float = POSITIVITY_TOL) -> None:
+    def validate(self) -> None:
         diag = (self.a, self.b, self.c, self.d)
-        if abs(sum(diag) - 1.0) > tol:
-            raise ValueError(f"diagonal sums to {sum(diag)!r}, not 1 within {tol:.1e}")
-        if min(diag) < -tol:
+        if abs(sum(diag) - 1.0) > POSITIVITY_TOL:
+            raise ValueError(f"diagonal sums to {sum(diag)!r}, not 1 within {POSITIVITY_TOL:.1e}")
+        if min(diag) < -POSITIVITY_TOL:
             raise ValueError(f"negative diagonal entry {min(diag)!r}")
-        if abs(self.f) ** 2 > self.a * self.d + tol:
+        if abs(self.f) ** 2 > self.a * self.d + POSITIVITY_TOL:
             raise ValueError(
                 f"|f|^2 = {abs(self.f)**2!r} exceeds a*d = {self.a * self.d!r} beyond tol"
             )
@@ -78,46 +76,38 @@ class XStateCoeffs:
         return Operator(m, (2, 2))
 
     @classmethod
-    def from_operator(cls, rho: Operator, tol: float | None = None) -> "XStateCoeffs":
+    def from_operator(cls, rho: Operator) -> "XStateCoeffs":
         """Extract coefficients, rejecting matrices without the X sparsity
         pattern or with non-real diagonal."""
-        tol = default_tol() if tol is None else tol
         if rho.dims != (2, 2):
             raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
         m = rho.matrix
         stray = float(np.abs(np.where(X_PATTERN, 0.0, m)).max())
-        if stray > tol:
+        if stray > DEFAULT_ALGEBRAIC_TOL:
             raise ValueError(f"matrix is not X-shaped: off-pattern entry {stray:.3e}")
-        if float(np.abs(np.imag(np.diag(m))).max()) > tol:
+        if float(np.abs(np.imag(np.diag(m))).max()) > DEFAULT_ALGEBRAIC_TOL:
             raise ValueError("diagonal entries are not real")
         return cls(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, complex(m[0, 3]))
 
 
-def negativity(rho: Operator, cut: int = 1, tol: float = POSITIVITY_TOL) -> NegativityValue:
-    """Negativity of ``rho`` across the bipartition (dims before ``cut``,
-    dims from ``cut`` on): minus twice the sum of negative eigenvalues of
-    the partial transpose."""
-    n = len(rho.dims)
-    if n < 2 or not 1 <= cut <= n - 1:
-        raise ValueError(f"cut {cut} does not split dims {rho.dims} in two")
-    if not rho.is_density(psd_tol=tol):
+def negativity(rho: Operator) -> NegativityValue:
+    """Negativity of a two-subsystem state ``rho``: minus twice the sum of
+    negative eigenvalues of its partial transpose."""
+    if len(rho.dims) != 2:
+        raise ValueError(f"negativity needs two subsystems, got dims {rho.dims}")
+    if not rho.is_density():
         raise ValueError("input is not a density operator (trace/Hermiticity/positivity)")
-    transposed = rho
-    for k in range(cut, n):
-        transposed = partial_transpose(transposed, k)
-    eigs = np.linalg.eigvalsh(transposed.matrix)
+    eigs = np.linalg.eigvalsh(partial_transpose(rho, 1).matrix)
     raw = float(-2.0 * eigs[eigs < 0].sum())
-    d_first = prod(rho.dims[:cut])
-    d_second = prod(rho.dims[cut:])
-    return NegativityValue.from_raw(raw, tol, upper=float(min(d_first, d_second) - 1))
+    return NegativityValue.from_raw(raw, upper=float(min(rho.dims) - 1))
 
 
-def negativity_xstate(coeffs: XStateCoeffs, tol: float = POSITIVITY_TOL) -> NegativityValue:
+def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:
     """Closed-form negativity of an X state:
     max(0, sqrt((b - c)^2 + 4 |f|^2) - (b + c))."""
-    coeffs.validate(tol)
+    coeffs.validate()
     raw = xstate_negativity_raw(coeffs.b, coeffs.c, abs(coeffs.f))
-    return NegativityValue.from_raw(float(raw), tol)
+    return NegativityValue.from_raw(float(raw))
 
 
 def xstate_negativity_raw(b, c, f_abs):

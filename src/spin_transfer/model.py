@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import Operator, embed_on_subsystems, kron, propagator
+from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, embed_on_subsystems, kron, propagator
 
 SUPPORTED_SOURCE_DIMS = (2, 3)
 
@@ -76,10 +76,6 @@ class TransferModel:
     pair_hamiltonian: Operator
 
     @property
-    def target_dim(self) -> int:
-        return 2
-
-    @property
     def full_dims(self) -> tuple[int, int, int, int]:
         return (2, 2, self.source_dim, self.source_dim)
 
@@ -133,20 +129,20 @@ def pair_propagator(model: TransferModel, t: float) -> Operator:
     return propagator(model.pair_hamiltonian, t)
 
 
-def full_evolution(model: TransferModel, t: float, closed_form: bool = False) -> Operator:
+def full_evolution(model: TransferModel, t: float) -> Operator:
     """Four-particle evolution: the pair propagator applied to legs (0,2)
     and (1,3) of the (2, 2, source, source) product space."""
-    u = closed_form_propagator(model, t) if closed_form else pair_propagator(model, t)
+    u = pair_propagator(model, t)
     dims = model.full_dims
     leg_a = embed_on_subsystems(u, (0, 2), dims)
     leg_b = embed_on_subsystems(u, (1, 3), dims)
     return leg_a @ leg_b
 
 
-def equal_up_to_phase(a: Operator, b: Operator, tol: float = 1e-10) -> bool:
+def equal_up_to_phase(a: Operator, b: Operator) -> bool:
     """Unitary equality test that ignores a global phase."""
     prod_ = a.dagger().matrix @ b.matrix
     phase = prod_[0, 0]
-    if abs(abs(phase) - 1.0) > tol:
+    if abs(abs(phase) - 1.0) > DEFAULT_ALGEBRAIC_TOL:
         return False
-    return float(np.abs(prod_ - phase * np.eye(a.dim)).max()) <= tol
+    return float(np.abs(prod_ - phase * np.eye(a.dim)).max()) <= DEFAULT_ALGEBRAIC_TOL

@@ -6,7 +6,6 @@ tiny (at most 36), so clarity wins over performance everywhere.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
@@ -15,12 +14,6 @@ import numpy as np
 
 DEFAULT_ALGEBRAIC_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
-
-
-def default_tol() -> float:
-    """Algebraic comparison tolerance; SPIN_TRANSFER_TOL overrides the default."""
-    raw = os.environ.get("SPIN_TRANSFER_TOL")
-    return float(raw) if raw else DEFAULT_ALGEBRAIC_TOL
 
 
 @dataclass(frozen=True)
@@ -69,21 +62,18 @@ class Operator:
         """Largest entrywise deviation from self-adjointness."""
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
-    def is_hermitian(self, tol: float | None = None) -> bool:
-        tol = default_tol() if tol is None else tol
-        return self.hermiticity_defect() <= tol
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_defect() <= DEFAULT_ALGEBRAIC_TOL
 
-    def is_unitary(self, tol: float | None = None) -> bool:
-        tol = default_tol() if tol is None else tol
+    def is_unitary(self) -> bool:
         gram = self.matrix.conj().T @ self.matrix
-        return float(np.abs(gram - np.eye(self.dim)).max()) <= tol
+        return float(np.abs(gram - np.eye(self.dim)).max()) <= DEFAULT_ALGEBRAIC_TOL
 
-    def is_density(self, tol: float | None = None, psd_tol: float = POSITIVITY_TOL) -> bool:
-        """Unit trace, Hermitian, and no eigenvalue below ``-psd_tol``."""
-        tol = default_tol() if tol is None else tol
-        if not self.is_hermitian(tol) or abs(self.trace() - 1.0) > max(tol, 1e-9):
+    def is_density(self) -> bool:
+        """Unit trace, Hermitian, and no eigenvalue below ``-POSITIVITY_TOL``."""
+        if not self.is_hermitian() or abs(self.trace() - 1.0) > POSITIVITY_TOL:
             return False
-        return float(np.linalg.eigvalsh(self.matrix)[0]) >= -psd_tol
+        return float(np.linalg.eigvalsh(self.matrix)[0]) >= -POSITIVITY_TOL
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dims != other.dims:
@@ -109,25 +99,25 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def hermitian_eig(m: Operator, tol: float | None = None) -> EigenDecomposition:
+def hermitian_eig(m: Operator) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian operator (ascending eigenvalues).
 
     Raises ValueError with the measured asymmetry when the input is not
-    Hermitian within ``tol``.
+    Hermitian within ``DEFAULT_ALGEBRAIC_TOL``.
     """
-    tol = default_tol() if tol is None else tol
     defect = m.hermiticity_defect()
-    if defect > tol:
+    if defect > DEFAULT_ALGEBRAIC_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} exceeds tol {tol:.1e}"
+            f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e}"
+            f" exceeds tol {DEFAULT_ALGEBRAIC_TOL:.1e}"
         )
     w, v = np.linalg.eigh(m.matrix)
     return EigenDecomposition(w, Operator(v, m.dims))
 
 
-def propagator(h: Operator, t: float, tol: float | None = None) -> Operator:
+def propagator(h: Operator, t: float) -> Operator:
     """Unitary exp(-i h t) built from the eigendecomposition of ``h``."""
-    eig = hermitian_eig(h, tol)
+    eig = hermitian_eig(h)
     v = eig.eigenvectors.matrix
     u = (v * np.exp(-1j * eig.eigenvalues * t)) @ v.conj().T
     return Operator(u, h.dims)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .entanglement import xstate_negativity_raw
 from .model import TransferModel, full_evolution
+from .qla import POSITIVITY_TOL
 from .transfer import QUTRIT_HALF_PERIOD, STATE_A, STATE_B, STATE_C, QutritPairState
 
 I1_MIN = 1.0 / 3.0
@@ -221,14 +222,15 @@ def max_curve(
     return [maximize_E12_half_period(float(t), budget) for t in np.asarray(theta1_grid)]
 
 
-def emax_is_nondecreasing(results: list[MaximizationResult], tol: float = 1e-9) -> bool:
-    """Whether the maximized negativity is monotone along the given results.
+def emax_is_nondecreasing(results: list[MaximizationResult]) -> bool:
+    """Whether the maximized negativity is monotone along the given results,
+    allowing a dip of ``POSITIVITY_TOL``, the resolution of a negativity.
 
     Reported, not asserted: monotonicity is suggested by the curves but
     nothing guarantees it.
     """
     values = [r.e_max for r in results]
-    return all(b >= a - tol for a, b in zip(values, values[1:]))
+    return all(b >= a - POSITIVITY_TOL for a, b in zip(values, values[1:]))
 
 
 def frontier_line(i1p: float) -> float:

@@ -85,10 +85,11 @@ class QutritPairState:
     @classmethod
     def normalized(cls, k0: float, k1: float, k2: float) -> "QutritPairState":
         amps = np.abs(np.asarray([k0, k1, k2], dtype=complex)).astype(float)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        amps = amps / norm
+        largest = amps.max()
+        if not 0.0 < largest < np.inf:  # NaN fails too
+            raise ValueError(f"cannot normalize {(k0, k1, k2)}: not finite or all zero")
+        amps = amps / largest  # keeps the sum of squares in range
+        amps = amps / np.linalg.norm(amps)
         return cls(float(amps[0]), float(amps[1]), float(amps[2]))
 
     @classmethod
@@ -149,10 +150,6 @@ def source_dim(sp: SourceState) -> int:
 
 def model_for_source(sp: SourceState) -> TransferModel:
     return TransferModel.for_source_dim(source_dim(sp))
-
-
-def source_period(sp: SourceState) -> float:
-    return QUBIT_SOURCE_PERIOD if isinstance(sp, QubitPairState) else QUTRIT_SOURCE_PERIOD
 
 
 def initial_full_state(tp: QubitPairState, sp: SourceState) -> Operator:

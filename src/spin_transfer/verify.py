@@ -42,16 +42,17 @@ class CheckResult:
     mandatory: bool
 
 
-def _check(name: str, tol: float, deviation: float, mandatory: bool = True) -> CheckResult:
-    return CheckResult(name, tol, float(deviation), bool(deviation < tol), mandatory)
+def _check(name: str, tolerance: float, deviation: float) -> CheckResult:
+    """A mandatory check: it passes when ``deviation`` is below ``tolerance``."""
+    return CheckResult(name, tolerance, float(deviation), bool(deviation < tolerance), True)
 
 
-def check_propagator_closed_form(seed: int = 0, samples: int = 50) -> CheckResult:
+def check_propagator_closed_form(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for source_dim in (2, 3):
         model = TransferModel.for_source_dim(source_dim)
-        for t in rng.uniform(0.0, 4.0 * np.pi, samples):
+        for t in rng.uniform(0.0, 4.0 * np.pi, 50):
             dev = np.abs(
                 closed_form_propagator(model, t).matrix - pair_propagator(model, t).matrix
             ).max()
@@ -59,8 +60,8 @@ def check_propagator_closed_form(seed: int = 0, samples: int = 50) -> CheckResul
     return _check("closed-form propagator vs eigendecomposition", DEFAULT_ALGEBRAIC_TOL, worst)
 
 
-def check_half_period_identity(grid: int = 20) -> CheckResult:
-    thetas = np.linspace(0.0, np.pi / 2, grid)
+def check_half_period_identity() -> CheckResult:
+    thetas = np.linspace(0.0, np.pi / 2, 20)
     worst = 0.0
     for t1 in thetas:
         for t2 in thetas:
@@ -70,10 +71,10 @@ def check_half_period_identity(grid: int = 20) -> CheckResult:
     return _check("half-period transfer identity (qubit source)", IDENTITY_TOL, worst)
 
 
-def check_periodicity(seed: int = 0, samples: int = 100) -> CheckResult:
+def check_periodicity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for i in range(samples):
+    for i in range(100):
         tp = QubitPairState(rng.uniform(0.0, np.pi / 2))
         t = rng.uniform(0.0, 2.0 * np.pi)
         if i % 2 == 0:
@@ -97,10 +98,10 @@ def random_xstate(rng: np.random.Generator) -> XStateCoeffs:
     )
 
 
-def check_xstate_formula(seed: int = 0, samples: int = 1000) -> CheckResult:
+def check_xstate_formula(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(1000):
         coeffs = random_xstate(rng)
         fast = negativity_xstate(coeffs).value
         generic = negativity(coeffs.to_operator()).value
@@ -108,9 +109,9 @@ def check_xstate_formula(seed: int = 0, samples: int = 1000) -> CheckResult:
     return _check("X-state formula vs generic negativity", DEFAULT_ALGEBRAIC_TOL, worst)
 
 
-def check_qubit_closed_form(grid: int = 10) -> CheckResult:
-    thetas = np.linspace(0.0, np.pi / 2, grid)
-    times = np.linspace(0.0, 2.0 * np.pi, grid)
+def check_qubit_closed_form() -> CheckResult:
+    thetas = np.linspace(0.0, np.pi / 2, 10)
+    times = np.linspace(0.0, 2.0 * np.pi, 10)
     worst = 0.0
     for t1 in thetas:
         for t2 in thetas:
@@ -123,12 +124,12 @@ def check_qubit_closed_form(grid: int = 10) -> CheckResult:
     )
 
 
-def check_qutrit_closed_form_endpoints(seed: int = 0, samples: int = 40) -> CheckResult:
-    rows = qutrit_closed_form_discrepancy(n_samples=samples, seed=seed)
+def check_qutrit_closed_form_endpoints(seed: int = 0) -> CheckResult:
+    rows = qutrit_closed_form_discrepancy(n_samples=40, seed=seed)
     endpoint_rows = [
         r
         for r in rows
-        if min(abs(r["t"]), abs(r["t"] - QUTRIT_SOURCE_PERIOD)) < 1e-12
+        if min(abs(r["t"]), abs(r["t"] - QUTRIT_SOURCE_PERIOD)) < EXACT_TOL
     ]
     worst = max(r["max_deviation"] for r in endpoint_rows)
     return _check(
@@ -136,8 +137,8 @@ def check_qutrit_closed_form_endpoints(seed: int = 0, samples: int = 40) -> Chec
     )
 
 
-def check_qutrit_closed_form_midtimes(seed: int = 0, samples: int = 64) -> CheckResult:
-    rows = qutrit_closed_form_discrepancy(n_samples=samples, seed=seed)
+def check_qutrit_closed_form_midtimes(seed: int = 0) -> CheckResult:
+    rows = qutrit_closed_form_discrepancy(n_samples=64, seed=seed)
     worst = max(r["max_deviation"] for r in rows)
     return CheckResult(
         "analytic qutrit-source coefficients between revivals (informational)",

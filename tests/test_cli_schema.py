@@ -123,7 +123,7 @@ def test_json_suffix_writes_json_table(tmp_path):
         (["fig2", "--theta1", "inf"], "--theta1"),
         (["fig2", "--t-start=-1e308", "--t-stop", "1e308"], "--t-start"),
         (["iterate", "--sp", "nan,1,1"], "--sp"),
-        (["iterate", "--sp", "1e200,1e200,1e200"], "--sp"),
+        (["iterate", "--sp", "0,0,0"], "--sp"),
         (["iterate", "--steps", "2.5"], "--steps"),
         (["fig4", "--e0", "1.5"], "--e0"),
         (["fig3", "--seed", "-1"], "--seed"),
@@ -135,6 +135,39 @@ def test_bad_value_exits_2_naming_the_field(argv, field, tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"error: {field}:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "joined,spaced",
+    [
+        (["--theta1=-pi/6"], ["--theta1", "-pi/6"]),
+        (["--t-start=-3pi/32"], ["--t-start", "-3pi/32"]),
+    ],
+)
+def test_value_starting_with_a_dash_follows_its_flag(joined, spaced, tmp_path):
+    written = []
+    for i, argv in enumerate((joined, spaced)):
+        out = tmp_path / f"{i}.csv"
+        assert main(["fig2", *argv, "--t-points", "5", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_flag_followed_by_a_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, err = run(["fig2", "--theta1", "--theta2", "1", "--out", str(out)], capsys)
+    assert code == 2 and err.startswith("error: argument --theta1:")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_source_amplitudes_are_a_direction(tmp_path):
+    written = []
+    for sp in ("A", "1e200,1e200,1e200"):
+        out = tmp_path / "x.csv"
+        assert main(["iterate", "--sp", sp, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_misspelled_config_key_is_named(tmp_path, capsys):

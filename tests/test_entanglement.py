@@ -63,10 +63,11 @@ class TestNegativity:
         with pytest.raises(ValueError, match="density"):
             negativity(bad)
 
-    def test_rejects_bad_cut(self):
-        rho = random_density(np.random.default_rng(0), (2, 2))
-        with pytest.raises(ValueError, match="cut"):
-            negativity(rho, cut=2)
+    def test_rejects_states_without_two_subsystems(self):
+        for dims in [(4,), (2, 2, 2)]:
+            rho = random_density(np.random.default_rng(0), dims)
+            with pytest.raises(ValueError, match="two subsystems"):
+                negativity(rho)
 
 
 class TestNegativityValue:

@@ -58,9 +58,21 @@ class TestStates:
         with pytest.raises(ValueError, match="unknown"):
             QutritPairState.from_label("D")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_normalized_rescales_extreme_amplitudes(self, scale):
+        sp = QutritPairState.normalized(scale, scale, scale)
+        assert max_abs(sp.amplitudes(), STATE_A.amplitudes()) <= 1e-15
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             QutritPairState.normalized(0.0, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_normalized_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QutritPairState.normalized(bad, 1.0, 1.0)
 
     def test_nan_amplitude_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
