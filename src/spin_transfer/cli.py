@@ -375,10 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="spin-transfer",
         description="Entanglement transfer between spin pairs: sweeps, maximization, iteration.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.run.__doc__)
+        p = sub.add_parser(name, help=command.run.__doc__, allow_abbrev=False)
         for setting in command.schema():
             p.add_argument(setting.flag, dest=setting.name, help=setting.help)
         p.add_argument("--config", help="JSON config file; flags override its entries")

@@ -1,7 +1,8 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
-Everything here is a pure function on immutable operators.  Dimensions stay
-tiny (at most 36), so clarity wins over performance everywhere.
+Immutable operators, tensor products, Hermitian eigendecomposition,
+propagators and partial trace/transpose, all pure functions.  Dimensions
+stay tiny (at most 36), so clarity wins over performance everywhere.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class Operator:
         dims = tuple(int(d) for d in dims)
         return cls(np.eye(prod(dims), dtype=complex), dims)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.dims)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -75,32 +73,15 @@ class Operator:
             return False
         return float(np.linalg.eigvalsh(self.matrix)[0]) >= -POSITIVITY_TOL
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dims != other.dims:
-            raise ValueError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return Operator(self.matrix @ other.matrix, self.dims)
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian operator: ascending eigenvalues and a
-    unitary whose columns are the matching eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: Operator
-
-    def reconstruct(self) -> Operator:
-        v = self.eigenvectors.matrix
-        return Operator((v * self.eigenvalues) @ v.conj().T, self.eigenvectors.dims)
-
 
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor product; subsystem labels of ``b`` follow those of ``a``."""
     return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def hermitian_eig(m: Operator) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian operator (ascending eigenvalues).
+def hermitian_eig(m: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian operator: ascending eigenvalues and
+    a unitary whose columns are the matching eigenvectors.
 
     Raises ValueError with the measured asymmetry when the input is not
     Hermitian within ``DEFAULT_ALGEBRAIC_TOL``.
@@ -111,15 +92,13 @@ def hermitian_eig(m: Operator) -> EigenDecomposition:
             f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e}"
             f" exceeds tol {DEFAULT_ALGEBRAIC_TOL:.1e}"
         )
-    w, v = np.linalg.eigh(m.matrix)
-    return EigenDecomposition(w, Operator(v, m.dims))
+    return np.linalg.eigh(m.matrix)
 
 
 def propagator(h: Operator, t: float) -> Operator:
     """Unitary exp(-i h t) built from the eigendecomposition of ``h``."""
-    eig = hermitian_eig(h)
-    v = eig.eigenvectors.matrix
-    u = (v * np.exp(-1j * eig.eigenvalues * t)) @ v.conj().T
+    w, v = hermitian_eig(h)
+    u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(u, h.dims)
 
 
@@ -162,29 +141,3 @@ def partial_transpose(rho: Operator, subsystem: int) -> Operator:
     axes = list(range(2 * n))
     axes[k], axes[n + k] = axes[n + k], axes[k]
     return Operator(t.transpose(axes).reshape(rho.dim, rho.dim), rho.dims)
-
-
-def embed_on_subsystems(
-    u: Operator, targets: Sequence[int], full_dims: Sequence[int]
-) -> Operator:
-    """Extend ``u`` to the full space: acts as ``u`` on ``targets`` (in the
-    given order) and as the identity elsewhere."""
-    full_dims = tuple(int(d) for d in full_dims)
-    n = len(full_dims)
-    tgt = _check_subsystem_indices(targets, n, "targets")
-    expected = tuple(full_dims[i] for i in tgt)
-    if u.dims != expected:
-        raise ValueError(
-            f"operator dims {u.dims} do not match full dims {expected} at targets {tgt}"
-        )
-    rest = tuple(i for i in range(n) if i not in tgt)
-    rest_dim = prod(full_dims[i] for i in rest) if rest else 1
-    big = np.kron(u.matrix, np.eye(rest_dim, dtype=complex))
-    # big acts on subsystem order targets + rest; permute back to 0..n-1
-    perm = tgt + rest
-    dims_perm = tuple(full_dims[i] for i in perm)
-    inv = np.argsort(perm)
-    t = big.reshape(dims_perm + dims_perm)
-    axes = list(inv) + [n + i for i in inv]
-    d = prod(full_dims)
-    return Operator(t.transpose(axes).reshape(d, d), full_dims)

@@ -169,11 +169,6 @@ def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
     return partial_trace(rho_t, (0, 1))
 
 
-def evolved_coeffs(tp: QubitPairState, sp: SourceState, t: float) -> XStateCoeffs:
-    """X-state coefficients of the evolved reduced state."""
-    return XStateCoeffs.from_operator(evolve_reduced(tp, sp, t))
-
-
 def closed_form_rho12_qubit(theta1: float, theta2: float, t: float) -> XStateCoeffs:
     """Analytic reduced-state coefficients for a qubit source."""
     c1, s1 = np.cos(theta1), np.sin(theta1)

@@ -124,8 +124,7 @@ def check_qubit_closed_form() -> CheckResult:
     )
 
 
-def check_qutrit_closed_form_endpoints(seed: int = 0) -> CheckResult:
-    rows = qutrit_closed_form_discrepancy(n_samples=40, seed=seed)
+def check_qutrit_closed_form_endpoints(rows: list[dict[str, float]]) -> CheckResult:
     endpoint_rows = [
         r
         for r in rows
@@ -137,8 +136,7 @@ def check_qutrit_closed_form_endpoints(seed: int = 0) -> CheckResult:
     )
 
 
-def check_qutrit_closed_form_midtimes(seed: int = 0) -> CheckResult:
-    rows = qutrit_closed_form_discrepancy(n_samples=64, seed=seed)
+def check_qutrit_closed_form_midtimes(rows: list[dict[str, float]]) -> CheckResult:
     worst = max(r["max_deviation"] for r in rows)
     return CheckResult(
         "analytic qutrit-source coefficients between revivals (informational)",
@@ -164,15 +162,16 @@ def check_distinguished_invariants() -> CheckResult:
 
 def run_checks(seed: int = 0) -> dict:
     """Run every check and assemble a JSON-ready report."""
+    qutrit_rows = qutrit_closed_form_discrepancy(n_samples=64, seed=seed)
     checks = [
         check_propagator_closed_form(seed),
         check_half_period_identity(),
         check_periodicity(seed),
         check_xstate_formula(seed),
         check_qubit_closed_form(),
-        check_qutrit_closed_form_endpoints(seed),
+        check_qutrit_closed_form_endpoints(qutrit_rows),
         check_distinguished_invariants(),
-        check_qutrit_closed_form_midtimes(seed),
+        check_qutrit_closed_form_midtimes(qutrit_rows),
     ]
     mandatory_passed = all(c.passed for c in checks if c.mandatory)
     return {

@@ -160,6 +160,14 @@ def test_flag_followed_by_a_flag_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0.1", "-pi/6"])
+def test_abbreviated_flag_is_unrecognized(value, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, err = run(["fig2", "--t-sta", value, "--out", str(out)], capsys)
+    assert code == 2 and err.startswith(f"error: unrecognized arguments: --t-sta {value}")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_source_amplitudes_are_a_direction(tmp_path):
     written = []

@@ -1,18 +1,21 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin_transfer.entanglement import negativity
 from spin_transfer.model import (
     TransferModel,
     closed_form_propagator,
-    equal_up_to_phase,
     full_evolution,
     heisenberg_pair,
     pair_propagator,
     spin_operators,
 )
-from spin_transfer.qla import Operator, embed_on_subsystems, partial_trace
-from spin_transfer.transfer import QubitPairState, initial_full_state
+from spin_transfer.qla import Operator, partial_trace, propagator
+from spin_transfer.transfer import QubitPairState, QutritPairState, initial_full_state
 
 from conftest import max_abs
 
@@ -38,6 +41,20 @@ H23_EXPECTED = np.array(
     ],
     dtype=float,
 )
+
+
+def four_particle_hamiltonian(source_dim, legs=((0, 2), (1, 3))):
+    """Sum of s_target . s_source over the (target, source) legs, built term
+    by term on the (2, 2, source, source) space from the spin matrices."""
+    dims = (2, 2, source_dim, source_dim)
+    pairs = zip(spin_operators(2).components, spin_operators(source_dim).components)
+    total = np.zeros((4 * source_dim**2,) * 2, dtype=complex)
+    for s_target, s_source in pairs:
+        for target, source in legs:
+            factors = [np.eye(d) for d in dims]
+            factors[target], factors[source] = s_target.matrix, s_source.matrix
+            total += reduce(np.kron, factors)
+    return Operator(total, dims)
 
 
 class TestSpinOperators:
@@ -93,6 +110,15 @@ class TestHeisenbergPair:
         eigs = np.linalg.eigvalsh(model.pair_hamiltonian.matrix)
         assert np.allclose(np.unique(np.round(eigs, 12)), expected)
 
+    def test_model_is_built_once_per_source_dim(self):
+        for source_dim in (2, 3):
+            model = TransferModel.for_source_dim(source_dim)
+            assert TransferModel.for_source_dim(source_dim) is model
+            assert not model.pair_hamiltonian.matrix.flags.writeable
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unsupported source dimension 4"):
+                TransferModel.for_source_dim(4)
+
 
 class TestClosedFormPropagator:
     @pytest.mark.parametrize("source_dim", [2, 3])
@@ -114,14 +140,16 @@ class TestClosedFormPropagator:
 
     def test_qubit_pair_full_period_is_global_phase(self):
         model = TransferModel.for_source_dim(2)
-        u = closed_form_propagator(model, 2 * np.pi)
-        assert equal_up_to_phase(u, Operator.identity((2, 2)))
-        assert u.matrix[0, 0] == pytest.approx(np.exp(-1j * np.pi / 2), abs=1e-12)
+        u = closed_form_propagator(model, 2 * np.pi).matrix
+        assert abs(abs(u[0, 0]) - 1) < 1e-10
+        assert max_abs(u, u[0, 0] * np.eye(4)) < 1e-10
+        assert u[0, 0] == pytest.approx(np.exp(-1j * np.pi / 2), abs=1e-12)
 
     def test_qutrit_pair_full_period_is_global_phase(self):
         model = TransferModel.for_source_dim(3)
-        u = closed_form_propagator(model, 4 * np.pi / 3)
-        assert equal_up_to_phase(u, Operator.identity((2, 3)))
+        u = closed_form_propagator(model, 4 * np.pi / 3).matrix
+        assert abs(abs(u[0, 0]) - 1) < 1e-10
+        assert max_abs(u, u[0, 0] * np.eye(6)) < 1e-10
 
 
 class TestFullEvolution:
@@ -130,29 +158,19 @@ class TestFullEvolution:
         u = full_evolution(model, 0.0)
         assert max_abs(u.matrix, np.eye(36)) < 1e-13
 
-    def test_equals_embedded_pair_product(self):
-        model = TransferModel.for_source_dim(3)
-        t = 1.3
-        u = pair_propagator(model, t)
-        expected = embed_on_subsystems(u, (0, 2), model.full_dims) @ embed_on_subsystems(
-            u, (1, 3), model.full_dims
-        )
-        assert max_abs(full_evolution(model, t).matrix, expected.matrix) < 1e-12
-
-    def test_closed_form_route_agrees(self):
-        model = TransferModel.for_source_dim(3)
-        u = closed_form_propagator(model, 2.1)
-        b = embed_on_subsystems(u, (0, 2), model.full_dims) @ embed_on_subsystems(
-            u, (1, 3), model.full_dims
-        )
-        assert max_abs(full_evolution(model, 2.1).matrix, b.matrix) < 1e-10
+    @given(st.sampled_from([2, 3]), st.floats(-50.0, 50.0))
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    def test_matches_four_particle_hamiltonian_propagator(self, source_dim, t):
+        model = TransferModel.for_source_dim(source_dim)
+        expected = propagator(four_particle_hamiltonian(source_dim), t)
+        assert max_abs(full_evolution(model, t).matrix, expected.matrix) < 1e-10
 
     def test_one_parameter_group(self, rng):
         model = TransferModel.for_source_dim(2)
         for _ in range(5):
             t1, t2 = rng.uniform(0, 2 * np.pi, 2)
-            combined = full_evolution(model, t1) @ full_evolution(model, t2)
-            assert max_abs(combined.matrix, full_evolution(model, t1 + t2).matrix) < 1e-9
+            combined = full_evolution(model, t1).matrix @ full_evolution(model, t2).matrix
+            assert max_abs(combined, full_evolution(model, t1 + t2).matrix) < 1e-9
 
     def test_half_period_swaps_entanglement(self):
         tp = QubitPairState(np.pi / 6)
@@ -169,28 +187,12 @@ class TestFullEvolution:
         # reassigns the legs to (0,3) and (1,2); TP negativity is unchanged
         model = TransferModel.for_source_dim(3)
         tp = QubitPairState(0.4)
-        sp_vec = np.sqrt(rng.dirichlet((1, 1, 1)))
-        from spin_transfer.transfer import QutritPairState
-
-        sp = QutritPairState(*sp_vec)
+        sp = QutritPairState(*np.sqrt(rng.dirichlet((1, 1, 1))))
         rho0 = initial_full_state(tp, sp)
+        h_swapped = four_particle_hamiltonian(3, legs=((0, 3), (1, 2)))
         for t in (0.7, 2.0):
-            u = pair_propagator(model, t)
-            standard = embed_on_subsystems(u, (0, 2), model.full_dims) @ embed_on_subsystems(
-                u, (1, 3), model.full_dims
-            )
-            swapped = embed_on_subsystems(u, (1, 2), model.full_dims) @ embed_on_subsystems(
-                u, (0, 3), model.full_dims
-            )
             values = []
-            for evo in (standard, swapped):
+            for evo in (full_evolution(model, t), propagator(h_swapped, t)):
                 rho_t = Operator(evo.matrix @ rho0.matrix @ evo.matrix.conj().T, rho0.dims)
                 values.append(negativity(partial_trace(rho_t, (0, 1))).value)
             assert values[0] == pytest.approx(values[1], abs=1e-10)
-
-
-def test_equal_up_to_phase_detects_mismatch():
-    a = Operator.identity((2,))
-    b = Operator(np.diag([1.0, -1.0]).astype(complex), (2,))
-    assert equal_up_to_phase(a, a)
-    assert not equal_up_to_phase(a, b)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spin_transfer.entanglement import negativity
+from spin_transfer.entanglement import XStateCoeffs, negativity
 from spin_transfer.transfer import (
     QUBIT_SOURCE_PERIOD,
     QUTRIT_HALF_PERIOD,
@@ -17,7 +17,6 @@ from spin_transfer.transfer import (
     default_time_grid,
     entanglement_curve,
     evolve_reduced,
-    evolved_coeffs,
     initial_full_state,
     qutrit_closed_form_discrepancy,
 )
@@ -119,7 +118,7 @@ class TestEvolveReduced:
         tp = QubitPairState(rng.uniform(0, np.pi / 2))
         sp = QubitPairState(rng.uniform(0, np.pi / 2)) if source == "qubit" else random_qutrit_state(rng)
         for t in rng.uniform(0, 2 * np.pi, 8):
-            coeffs = evolved_coeffs(tp, sp, t)  # raises if the X pattern is violated
+            coeffs = XStateCoeffs.from_operator(evolve_reduced(tp, sp, t))  # raises off the X pattern
             assert coeffs.a + coeffs.b + coeffs.c + coeffs.d == pytest.approx(1.0, abs=1e-9)
             assert abs(coeffs.b - coeffs.c) < 1e-12
 
