@@ -57,6 +57,18 @@ def four_particle_hamiltonian(source_dim, legs=((0, 2), (1, 3))):
     return Operator(total, dims)
 
 
+def embed_pair(u, targets, full_dims):
+    """The full-space matrix acting as the pair operator ``u`` on ``targets``
+    (in that order) and as the identity on the other two particles."""
+    rest = [i for i in range(len(full_dims)) if i not in targets]
+    order = list(targets) + rest
+    big = np.kron(u.matrix, np.eye(full_dims[rest[0]] * full_dims[rest[1]]))
+    inv = list(np.argsort(order))
+    t = big.reshape([full_dims[i] for i in order] * 2)
+    n, d = len(full_dims), big.shape[0]
+    return t.transpose(inv + [n + i for i in inv]).reshape(d, d)
+
+
 class TestSpinOperators:
     @pytest.mark.parametrize("d", [2, 3])
     def test_commutation_relations(self, d):
@@ -157,6 +169,21 @@ class TestFullEvolution:
         model = TransferModel.for_source_dim(3)
         u = full_evolution(model, 0.0)
         assert max_abs(u.matrix, np.eye(36)) < 1e-13
+
+    def test_equals_embedded_pair_product(self):
+        model = TransferModel.for_source_dim(3)
+        t = 1.3
+        u = pair_propagator(model, t)
+        dims = model.full_dims
+        expected = embed_pair(u, (0, 2), dims) @ embed_pair(u, (1, 3), dims)
+        assert max_abs(full_evolution(model, t).matrix, expected) < 1e-12
+
+    def test_closed_form_route_agrees(self):
+        model = TransferModel.for_source_dim(3)
+        u = closed_form_propagator(model, 2.1)
+        dims = model.full_dims
+        b = embed_pair(u, (0, 2), dims) @ embed_pair(u, (1, 3), dims)
+        assert max_abs(full_evolution(model, 2.1).matrix, b) < 1e-10
 
     @given(st.sampled_from([2, 3]), st.floats(-50.0, 50.0))
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
