@@ -1,5 +1,13 @@
 """Exact simulator of entanglement transfer between spin pairs coupled by
-pairwise isotropic exchange."""
+pairwise isotropic exchange.
+
+The lower layers stay importable from their own modules: ``kron``,
+``partial_trace``, ``partial_transpose`` and ``propagator`` from
+``spin_transfer.qla``; ``TransferModel``, ``full_evolution``,
+``pair_propagator``, ``closed_form_propagator``, ``heisenberg_pair`` and
+``spin_operators`` from ``spin_transfer.model``; ``initial_full_state`` from
+``spin_transfer.transfer``.
+"""
 
 from .entanglement import (
     NegativityValue,
@@ -8,30 +16,8 @@ from .entanglement import (
     negativity_xstate,
     schmidt_angle_from_negativity,
 )
-from .model import (
-    SpinOperators,
-    TransferModel,
-    closed_form_propagator,
-    full_evolution,
-    heisenberg_pair,
-    pair_propagator,
-    spin_operators,
-)
-from .protocol import (
-    MODE_MIXED,
-    MODE_PURE_RESET,
-    IterationRecord,
-    iterate_transfer,
-    mode_comparison,
-)
-from .qla import (
-    Operator,
-    hermitian_eig,
-    kron,
-    partial_trace,
-    partial_transpose,
-    propagator,
-)
+from .protocol import MODE_MIXED, MODE_PURE_RESET, IterationRecord, iterate_transfer
+from .qla import Operator
 from .qutritmax import (
     FIG3_THETA_GRID,
     InvariantPoint,
@@ -42,7 +28,6 @@ from .qutritmax import (
     fit_I1_of_theta,
     frontier_line,
     invariants,
-    max_curve,
     maximize_E12_half_period,
     negativity_at_half_period,
     sample_physical_region,
@@ -61,7 +46,6 @@ from .transfer import (
     closed_form_rho12_qutrit,
     entanglement_curve,
     evolve_reduced,
-    initial_full_state,
     qutrit_closed_form_discrepancy,
 )
 
@@ -84,11 +68,8 @@ __all__ = [
     "STATE_B",
     "STATE_C",
     "SearchBudget",
-    "SpinOperators",
-    "TransferModel",
     "TransferTrace",
     "XStateCoeffs",
-    "closed_form_propagator",
     "closed_form_rho12_qubit",
     "closed_form_rho12_qutrit",
     "entanglement_curve",
@@ -96,27 +77,15 @@ __all__ = [
     "extract_lower_boundary",
     "fit_I1_of_theta",
     "frontier_line",
-    "full_evolution",
-    "heisenberg_pair",
-    "hermitian_eig",
-    "initial_full_state",
     "invariants",
     "iterate_transfer",
-    "kron",
-    "max_curve",
     "maximize_E12_half_period",
-    "mode_comparison",
     "negativity",
     "negativity_at_half_period",
     "negativity_xstate",
-    "pair_propagator",
-    "partial_trace",
-    "partial_transpose",
-    "propagator",
     "qutrit_closed_form_discrepancy",
     "sample_physical_region",
     "schmidt_angle_from_negativity",
-    "spin_operators",
     "__version__",
 ]
 

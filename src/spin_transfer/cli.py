@@ -32,7 +32,6 @@ from .qutritmax import (
     FIG3_THETA_GRID,
     SearchBudget,
     emax_is_nondecreasing,
-    invariants,
     maximize_E12_half_period,
     negativity_at_half_period,
     sample_physical_region,

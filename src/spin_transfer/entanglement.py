@@ -36,7 +36,7 @@ class NegativityValue:
 
     @classmethod
     def from_raw(cls, raw: float, upper: float = 1.0) -> "NegativityValue":
-        if raw < -POSITIVITY_TOL or raw > upper + POSITIVITY_TOL:
+        if not -POSITIVITY_TOL <= raw <= upper + POSITIVITY_TOL:  # NaN fails too
             raise ValueError(
                 f"negativity {raw!r} outside [0, {upper}] by more than tol {POSITIVITY_TOL:.1e}"
             )
@@ -59,11 +59,11 @@ class XStateCoeffs:
 
     def validate(self) -> None:
         diag = (self.a, self.b, self.c, self.d)
-        if abs(sum(diag) - 1.0) > POSITIVITY_TOL:
+        if not abs(sum(diag) - 1.0) <= POSITIVITY_TOL:  # NaN fails too
             raise ValueError(f"diagonal sums to {sum(diag)!r}, not 1 within {POSITIVITY_TOL:.1e}")
-        if min(diag) < -POSITIVITY_TOL:
+        if not min(diag) >= -POSITIVITY_TOL:
             raise ValueError(f"negative diagonal entry {min(diag)!r}")
-        if abs(self.f) ** 2 > self.a * self.d + POSITIVITY_TOL:
+        if not abs(self.f) ** 2 <= self.a * self.d + POSITIVITY_TOL:
             raise ValueError(
                 f"|f|^2 = {abs(self.f)**2!r} exceeds a*d = {self.a * self.d!r} beyond tol"
             )
@@ -83,9 +83,9 @@ class XStateCoeffs:
             raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
         m = rho.matrix
         stray = float(np.abs(np.where(X_PATTERN, 0.0, m)).max())
-        if stray > DEFAULT_ALGEBRAIC_TOL:
+        if not stray <= DEFAULT_ALGEBRAIC_TOL:  # NaN fails too
             raise ValueError(f"matrix is not X-shaped: off-pattern entry {stray:.3e}")
-        if float(np.abs(np.imag(np.diag(m))).max()) > DEFAULT_ALGEBRAIC_TOL:
+        if not float(np.abs(np.imag(np.diag(m))).max()) <= DEFAULT_ALGEBRAIC_TOL:
             raise ValueError("diagonal entries are not real")
         return cls(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, complex(m[0, 3]))
 

@@ -20,22 +20,8 @@ from .qla import Operator, kron, propagator
 SUPPORTED_SOURCE_DIMS = (2, 3)
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Cartesian spin components for a spin-(d-1)/2 particle."""
-
-    d: int
-    sx: Operator
-    sy: Operator
-    sz: Operator
-
-    @property
-    def components(self) -> tuple[Operator, Operator, Operator]:
-        return (self.sx, self.sy, self.sz)
-
-
-def spin_operators(d: int) -> SpinOperators:
-    """Standard spin matrices for d in {2, 3}.
+def spin_operators(d: int) -> tuple[Operator, Operator, Operator]:
+    """Standard spin matrices (sx, sy, sz) for d in {2, 3}.
 
     Levels are ordered by descending magnetic quantum number, so
     sz = diag(1/2, -1/2) for a qubit and diag(1, 0, -1) for a qutrit.
@@ -52,21 +38,18 @@ def spin_operators(d: int) -> SpinOperators:
     sx = (raise_op + lower_op) / 2
     sy = (raise_op - lower_op) / 2j
     dims = (d,)
-    return SpinOperators(d, Operator(sx, dims), Operator(sy, dims), Operator(sz, dims))
+    return (Operator(sx, dims), Operator(sy, dims), Operator(sz, dims))
 
 
-def heisenberg_pair(d_a: int, d_b: int) -> Operator:
-    """Exchange coupling sx*sx + sy*sy + sz*sz between a qubit and a spin-d_b
-    particle, on the ordered pair space (d_a, d_b)."""
-    if d_a != 2:
-        raise ValueError(f"first particle must be a qubit, got dimension {d_a}")
-    a = spin_operators(d_a)
-    b = spin_operators(d_b)
+def heisenberg_pair(source_dim: int) -> Operator:
+    """Exchange coupling sx*sx + sy*sy + sz*sz between a qubit and a spin
+    particle of dimension ``source_dim``, on the ordered pair space
+    (2, source_dim)."""
     total = sum(
-        (kron(x, y).matrix for x, y in zip(a.components, b.components)),
-        np.zeros((d_a * d_b, d_a * d_b), dtype=complex),
+        (kron(x, y).matrix for x, y in zip(spin_operators(2), spin_operators(source_dim))),
+        np.zeros((2 * source_dim, 2 * source_dim), dtype=complex),
     )
-    return Operator(total, (d_a, d_b))
+    return Operator(total, (2, source_dim))
 
 
 @dataclass(frozen=True)
@@ -77,17 +60,13 @@ class TransferModel:
     source_dim: int
     pair_hamiltonian: Operator
 
-    @property
-    def full_dims(self) -> tuple[int, int, int, int]:
-        return (2, 2, self.source_dim, self.source_dim)
-
     @classmethod
     @functools.cache
     def for_source_dim(cls, source_dim: int) -> "TransferModel":
         """One shared model per source dimension; its operators are read-only."""
         if source_dim not in SUPPORTED_SOURCE_DIMS:
             raise ValueError(f"unsupported source dimension {source_dim}")
-        return cls(source_dim, heisenberg_pair(2, source_dim))
+        return cls(source_dim, heisenberg_pair(source_dim))
 
 
 def closed_form_propagator(model: TransferModel, t: float) -> Operator:
@@ -139,4 +118,4 @@ def full_evolution(model: TransferModel, t: float) -> Operator:
     d = model.source_dim
     u = pair_propagator(model, t).matrix.reshape(2, d, 2, d)
     full = np.einsum("asAS,brBR->absrABSR", u, u)
-    return Operator(full.reshape(4 * d * d, 4 * d * d), model.full_dims)
+    return Operator(full.reshape(4 * d * d, 4 * d * d), (2, 2, d, d))

@@ -64,7 +64,13 @@ def iterate_transfer(
     mode: str = MODE_PURE_RESET,
 ) -> list[IterationRecord]:
     """Run ``steps`` rounds of half-period coupling to fresh copies of ``sp``
-    starting from target negativity ``e0``."""
+    starting from target negativity ``e0``.  The half period is that of a
+    qutrit source, so ``sp`` must be a ``QutritPairState``."""
+    if not isinstance(sp, QutritPairState):
+        raise ValueError(
+            f"iterate_transfer couples for the qutrit half period and needs a"
+            f" QutritPairState source, got {type(sp).__name__}"
+        )
     if not 0.0 <= e0 <= 1.0:
         raise ValueError(f"initial negativity {e0!r} outside [0, 1]")
     if steps < 1:
@@ -84,31 +90,16 @@ def iterate_transfer(
     u = full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD)
     rho_tp = QubitPairState(schmidt_angle_from_negativity(e0)).density()
     sp_density = sp.density()
+    e = negativity(rho_tp).value
     for step in range(1, steps + 1):
-        e_before = negativity(rho_tp).value
         full = kron(rho_tp, sp_density)
         evolved = Operator(u.matrix @ full.matrix @ u.matrix.conj().T, full.dims)
         snapshot = rho_tp
         rho_tp = partial_trace(evolved, (0, 1))
-        records.append(
-            IterationRecord(step, e_before, negativity(rho_tp).value, mode, snapshot)
-        )
+        e_after = negativity(rho_tp).value
+        records.append(IterationRecord(step, e, e_after, mode, snapshot))
+        e = e_after
     return records
-
-
-def mode_comparison(e0: float, sp: QutritPairState, steps: int) -> list[dict[str, float]]:
-    """Per-step negativities of both modes side by side, with their gap."""
-    pure = iterate_transfer(e0, sp, steps, MODE_PURE_RESET)
-    mixed = iterate_transfer(e0, sp, steps, MODE_MIXED)
-    return [
-        {
-            "step": p.step,
-            "pure_reset": p.negativity_after,
-            "mixed_continuation": m.negativity_after,
-            "delta": p.negativity_after - m.negativity_after,
-        }
-        for p, m in zip(pure, mixed)
-    ]
 
 
 def snapshot_purity(record: IterationRecord) -> float:

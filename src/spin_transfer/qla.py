@@ -1,15 +1,16 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
-Immutable operators, tensor products, Hermitian eigendecomposition,
-propagators and partial trace/transpose, all pure functions.  Dimensions
-stay tiny (at most 36), so clarity wins over performance everywhere.
+Immutable operators, tensor products, propagators from the Hermitian
+eigendecomposition and partial trace/transpose, all pure functions.
+Dimensions stay tiny (at most 36), so clarity wins over performance
+everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -48,11 +49,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def identity(cls, dims: Sequence[int]) -> "Operator":
-        dims = tuple(int(d) for d in dims)
-        return cls(np.eye(prod(dims), dtype=complex), dims)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -62,10 +58,6 @@ class Operator:
 
     def is_hermitian(self) -> bool:
         return self.hermiticity_defect() <= DEFAULT_ALGEBRAIC_TOL
-
-    def is_unitary(self) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.abs(gram - np.eye(self.dim)).max()) <= DEFAULT_ALGEBRAIC_TOL
 
     def is_density(self) -> bool:
         """Unit trace, Hermitian, and no eigenvalue below ``-POSITIVITY_TOL``."""
@@ -79,25 +71,19 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def hermitian_eig(m: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator: ascending eigenvalues and
-    a unitary whose columns are the matching eigenvectors.
+def propagator(h: Operator, t: float) -> Operator:
+    """Unitary exp(-i h t) built from the eigendecomposition of ``h``.
 
-    Raises ValueError with the measured asymmetry when the input is not
-    Hermitian within ``DEFAULT_ALGEBRAIC_TOL``.
+    Raises ValueError with the measured asymmetry when ``h`` is not
+    Hermitian within ``DEFAULT_ALGEBRAIC_TOL`` (or holds a NaN).
     """
-    defect = m.hermiticity_defect()
-    if defect > DEFAULT_ALGEBRAIC_TOL:
+    defect = h.hermiticity_defect()
+    if not defect <= DEFAULT_ALGEBRAIC_TOL:  # NaN fails too
         raise ValueError(
             f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e}"
             f" exceeds tol {DEFAULT_ALGEBRAIC_TOL:.1e}"
         )
-    return np.linalg.eigh(m.matrix)
-
-
-def propagator(h: Operator, t: float) -> Operator:
-    """Unitary exp(-i h t) built from the eigendecomposition of ``h``."""
-    w, v = hermitian_eig(h)
+    w, v = np.linalg.eigh(h.matrix)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(u, h.dims)
 

@@ -35,25 +35,25 @@ class InvariantPoint:
 
     i1: float
     i2: float
-    i1p: float
-    i2p: float
 
     def __post_init__(self) -> None:
         if not I1_MIN - INVARIANT_TOL <= self.i1 <= 1.0 + INVARIANT_TOL:
             raise ValueError(f"I1 = {self.i1!r} outside [1/3, 1]")
         if not self.i1**2 - INVARIANT_TOL <= self.i2 <= self.i1 + INVARIANT_TOL:
             raise ValueError(f"I2 = {self.i2!r} outside the attainable band for I1 = {self.i1!r}")
-        if abs(self.i1p - self.i1) > INVARIANT_TOL or abs(
-            self.i2p - (self.i2 - 1.5 * self.i1)
-        ) > INVARIANT_TOL:
-            raise ValueError("transformed invariants inconsistent with (I1, I2)")
+
+    @property
+    def i1p(self) -> float:
+        return self.i1
+
+    @property
+    def i2p(self) -> float:
+        return self.i2 - 1.5 * self.i1
 
     @classmethod
     def from_probabilities(cls, p: np.ndarray) -> "InvariantPoint":
         p = np.asarray(p, dtype=float)
-        i1 = float(np.sum(p**2))
-        i2 = float(np.sum(p**3))
-        return cls(i1, i2, i1, i2 - 1.5 * i1)
+        return cls(float(np.sum(p**2)), float(np.sum(p**3)))
 
 
 def invariants(state: QutritPairState) -> InvariantPoint:
@@ -81,10 +81,7 @@ def sample_physical_region(
 
 @lru_cache(maxsize=1)
 def _half_period_evolution_matrix() -> np.ndarray:
-    model = TransferModel.for_source_dim(3)
-    u = full_evolution(model, QUTRIT_HALF_PERIOD).matrix.copy()
-    u.setflags(write=False)
-    return u
+    return full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
 
 
 def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarray:
@@ -126,11 +123,6 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.coarse < 2 or self.refinements < 0 or not 1.0 < self.shrink < np.inf:
             raise ValueError(f"invalid search budget {self}")
-
-    @property
-    def grid_evaluations(self) -> int:
-        """Grid points alone; the maximizer adds its seed candidates."""
-        return (self.refinements + 1) * self.coarse**2
 
 
 @dataclass(frozen=True)
@@ -213,13 +205,6 @@ def maximize_E12_half_period(
         evaluations=evaluations,
         refinement_depth=budget.refinements,
     )
-
-
-def max_curve(
-    theta1_grid: np.ndarray, budget: SearchBudget = SearchBudget()
-) -> list[MaximizationResult]:
-    """Per-angle maximization along a grid of target angles."""
-    return [maximize_E12_half_period(float(t), budget) for t in np.asarray(theta1_grid)]
 
 
 def emax_is_nondecreasing(results: list[MaximizationResult]) -> bool:

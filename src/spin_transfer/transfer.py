@@ -3,9 +3,10 @@
 Builds the initial product state, evolves the four particles, reduces to the
 target pair and scores its negativity.  The numeric pipeline
 (``evolve_reduced``) is authoritative; the analytic coefficient functions
-are regression artifacts.  For a qutrit source the transcribed analytic
-coefficients are known to disagree with the numeric pipeline between the
-revival times; ``qutrit_closed_form_discrepancy`` quantifies this.
+are regression artifacts.  For a qutrit source one transcribed analytic
+coefficient is wrong: between the revival times the inner diagonal entry
+b (= c) departs from the numeric pipeline, while a, d and f match it to
+rounding; ``qutrit_closed_form_discrepancy`` quantifies this.
 """
 
 from __future__ import annotations
@@ -189,9 +190,11 @@ def closed_form_rho12_qutrit(theta1: float, sp: QutritPairState, t: float) -> XS
     """Verbatim transcription of the analytic reduced-state coefficients for
     a qutrit source.
 
-    Away from t = 0 and t = 4*pi/3 these coefficients disagree with the
-    numeric pipeline (they need not even form a density matrix); they are
-    kept verbatim as a regression artifact and quantified by
+    a, d and f match the numeric pipeline at every time.  The inner
+    diagonal entry b (= c) matches it only at t = 0 and t = 4*pi/3; between
+    those revivals it is off (the pipeline's b is (1 - a - d)/2), so the
+    coefficients need not even form a density matrix.  They are kept
+    verbatim as a regression artifact and quantified by
     ``qutrit_closed_form_discrepancy``.
     """
     k0, k1, k2 = sp.k0, sp.k1, sp.k2
@@ -274,9 +277,6 @@ def entanglement_curve(
     return TransferTrace(times, values, tp.theta, label)
 
 
-def default_time_grid(period: float, points: int | None = None) -> np.ndarray:
+def default_time_grid(period: float) -> np.ndarray:
     """Uniform grid over one period, endpoints included."""
-    n = GRID_INTERVALS_PER_PERIOD + 1 if points is None else int(points)
-    if n < 2:
-        raise ValueError("time grid needs at least two points")
-    return np.linspace(0.0, period, n)
+    return np.linspace(0.0, period, GRID_INTERVALS_PER_PERIOD + 1)

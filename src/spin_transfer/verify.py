@@ -2,8 +2,10 @@
 CLI exposes as a machine-readable report.
 
 Mandatory checks gate the exit status; the mid-revival comparison of the
-transcribed qutrit coefficients is informational only (the transcription is
-kept verbatim although it disagrees with the numeric pipeline there).
+transcribed qutrit coefficients is informational only.  The transcription
+is kept verbatim: its a, d and f match the numeric pipeline, but its inner
+diagonal entry b (= c) is off between the revivals, and the check reports
+that deviation.
 """
 
 from __future__ import annotations

@@ -80,6 +80,8 @@ class TestNegativityValue:
             NegativityValue.from_raw(-2e-9)
         with pytest.raises(ValueError, match="outside"):
             NegativityValue.from_raw(1.1)
+        with pytest.raises(ValueError, match="outside"):
+            NegativityValue.from_raw(float("nan"))
 
     def test_float_conversion(self):
         assert float(NegativityValue.from_raw(0.25)) == 0.25
@@ -114,6 +116,10 @@ class TestXStateFormula:
             negativity_xstate(XStateCoeffs(0.5, 0.5, 0.5, 0.5, 0.0))
         with pytest.raises(ValueError, match="exceeds"):
             negativity_xstate(XStateCoeffs(0.25, 0.25, 0.25, 0.25, 0.4))
+        with pytest.raises(ValueError, match="sums"):
+            negativity_xstate(XStateCoeffs(np.nan, 0.25, 0.25, 0.5, 0.1))
+        with pytest.raises(ValueError, match="exceeds"):
+            negativity_xstate(XStateCoeffs(0.25, 0.25, 0.25, 0.25, complex(np.nan, 0.0)))
 
     def test_from_operator_roundtrip(self, rng):
         coeffs = random_xstate(rng)
@@ -124,6 +130,13 @@ class TestXStateFormula:
         rho = random_density(rng, (2, 2))
         with pytest.raises(ValueError, match="X-shaped"):
             XStateCoeffs.from_operator(rho)
+        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError, match="X-shaped"):
+            XStateCoeffs.from_operator(Operator(m, (2, 2)))
+        m[0, 1], m[1, 1] = 0.0, complex(0.25, np.nan)
+        with pytest.raises(ValueError, match="not real"):
+            XStateCoeffs.from_operator(Operator(m, (2, 2)))
 
 
 class TestSchmidtAngle:

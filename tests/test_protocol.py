@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+import spin_transfer.protocol as protocol
 from spin_transfer.protocol import (
     MODE_MIXED,
     MODE_PURE_RESET,
     canonical_mode,
     iterate_transfer,
-    mode_comparison,
     snapshot_purity,
 )
 from spin_transfer.qla import Operator
-from spin_transfer.transfer import STATE_A
+from spin_transfer.transfer import STATE_A, STATE_B, QubitPairState
+
+
+def after_values(e0, sp, steps, mode):
+    return [r.negativity_after for r in iterate_transfer(e0, sp, steps, mode)]
 
 
 class TestPureReset:
@@ -53,26 +57,27 @@ class TestMixedContinuation:
         # after one round the carried state is genuinely mixed
         assert snapshot_purity(records[1]) < 1.0 - 1e-6
 
-    def test_mode_comparison_reports_gap(self):
-        rows = mode_comparison(0.2, STATE_A, 3)
-        assert [r["step"] for r in rows] == [1, 2, 3]
-        for row in rows:
-            assert set(row) == {"step", "pure_reset", "mixed_continuation", "delta"}
-            assert row["delta"] == pytest.approx(
-                row["pure_reset"] - row["mixed_continuation"], abs=1e-15
-            )
-
     def test_modes_agree_for_state_a_but_not_in_general(self):
         # with the maximally entangled source the achieved negativity turns
         # out to be insensitive to whether the carried state is purified,
         # even though the carried state really is mixed; a balanced two-term
         # source separates the modes clearly
-        for row in mode_comparison(0.2, STATE_A, 4):
-            assert abs(row["delta"]) < 1e-9
-        from spin_transfer.transfer import STATE_B
+        pure = after_values(0.2, STATE_A, 4, MODE_PURE_RESET)
+        mixed = after_values(0.2, STATE_A, 4, MODE_MIXED)
+        assert np.abs(np.subtract(pure, mixed)).max() < 1e-9
+        pure = after_values(0.2, STATE_B, 3, MODE_PURE_RESET)
+        mixed = after_values(0.2, STATE_B, 3, MODE_MIXED)
+        assert np.abs(np.subtract(pure, mixed)).max() > 0.01
 
-        deltas = [row["delta"] for row in mode_comparison(0.2, STATE_B, 3)]
-        assert max(abs(d) for d in deltas) > 0.01
+    def test_each_state_is_scored_once(self, monkeypatch):
+        scored = []
+        original = protocol.negativity
+        monkeypatch.setattr(protocol, "negativity", lambda rho: scored.append(rho) or original(rho))
+        records = iterate_transfer(0.3, STATE_B, 4, MODE_MIXED)
+        assert len(scored) == 5  # the initial state, then one per step
+        assert records[0].negativity_before == pytest.approx(0.3, abs=1e-12)
+        for first, second in zip(records, records[1:]):
+            assert second.negativity_before == first.negativity_after
 
     def test_mixed_mode_deterministic(self):
         a = iterate_transfer(0.3, STATE_A, 3, "mixed")
@@ -93,3 +98,11 @@ class TestValidation:
             iterate_transfer(1.5, STATE_A, 1)
         with pytest.raises(ValueError, match="step"):
             iterate_transfer(0.2, STATE_A, 0)
+
+    @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
+    def test_rejects_qubit_source(self, mode):
+        # the rounds last the qutrit half period 2pi/3, which for a qubit
+        # source gives a falling staircase (pure reset from e0 = 0.2: 0.501,
+        # then 0.361)
+        with pytest.raises(ValueError, match="QubitPairState"):
+            iterate_transfer(0.2, QubitPairState(np.pi / 4), 2, mode)

@@ -11,7 +11,6 @@ from spin_transfer.qutritmax import (
     fit_I1_of_theta,
     frontier_line,
     invariants,
-    max_curve,
     maximize_E12_half_period,
     negativity_at_half_period,
     sample_physical_region,
@@ -54,11 +53,9 @@ class TestInvariants:
 
     def test_validation_rejects_out_of_band(self):
         with pytest.raises(ValueError, match="I1"):
-            InvariantPoint(0.2, 0.1, 0.2, 0.1 - 0.3)
+            InvariantPoint(0.2, 0.1)
         with pytest.raises(ValueError, match="I2"):
-            InvariantPoint(0.5, 0.6, 0.5, 0.6 - 0.75)
-        with pytest.raises(ValueError, match="inconsistent"):
-            InvariantPoint(0.5, 0.25, 0.5, 0.0)
+            InvariantPoint(0.5, 0.6)
 
 
 class TestSampleRegion:
@@ -124,7 +121,7 @@ class TestMaximize:
 
     def test_dominates_single_states_along_curve(self):
         thetas = np.linspace(0, np.pi / 4, 4)
-        results = max_curve(thetas, SMALL_BUDGET)
+        results = [maximize_E12_half_period(t, SMALL_BUDGET) for t in thetas]
         for theta1, result in zip(thetas, results):
             e_a = float(negativity_at_half_period(theta1, STATE_A.amplitudes()))
             assert result.e_max >= e_a - 1e-12
@@ -146,7 +143,8 @@ class TestMaximize:
 
     def test_diagnostics(self):
         result = maximize_E12_half_period(0.1, SMALL_BUDGET)
-        assert result.evaluations == SMALL_BUDGET.grid_evaluations + 3  # plus A, B, C seeds
+        grid = (SMALL_BUDGET.refinements + 1) * SMALL_BUDGET.coarse**2
+        assert result.evaluations == grid + 3  # plus A, B, C seeds
         assert result.refinement_depth == SMALL_BUDGET.refinements
 
     def test_budget_validation(self):

@@ -197,6 +197,24 @@ class TestClosedFormQutrit:
         assert max(r["max_deviation"] for r in endpoint) < 1e-9
         assert max(r["max_deviation"] for r in midtime) > 1e-2
 
+    def test_only_the_inner_diagonal_entry_is_wrong(self):
+        # a, d and f of the transcription match the pipeline between the
+        # revivals; b (= c) does not, and the pipeline's b is (1 - a - d)/2
+        rng = np.random.default_rng(7)
+        worst = dict.fromkeys("adfb", 0.0)
+        for _ in range(200):
+            theta1 = rng.uniform(0, np.pi / 4)
+            sp = random_qutrit_state(rng)
+            t = rng.uniform(0.05, QUTRIT_SOURCE_PERIOD - 0.05)
+            analytic = closed_form_rho12_qutrit(theta1, sp, t)
+            numeric = XStateCoeffs.from_operator(evolve_reduced(QubitPairState(theta1), sp, t))
+            assert numeric.b == pytest.approx((1 - numeric.a - numeric.d) / 2, abs=1e-12)
+            for name in "adfb":
+                dev = abs(getattr(analytic, name) - getattr(numeric, name))
+                worst[name] = max(worst[name], dev)
+        assert max(worst["a"], worst["d"], worst["f"]) < 1e-12
+        assert worst["b"] > 0.1
+
     def test_discrepancy_rows_are_deterministic(self):
         a = qutrit_closed_form_discrepancy(n_samples=10, seed=3)
         b = qutrit_closed_form_discrepancy(n_samples=10, seed=3)
@@ -241,5 +259,3 @@ class TestEntanglementCurve:
         grid = default_time_grid(QUBIT_SOURCE_PERIOD)
         assert grid.size == 601
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(QUBIT_SOURCE_PERIOD)
-        with pytest.raises(ValueError):
-            default_time_grid(1.0, points=1)
