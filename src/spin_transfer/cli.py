@@ -65,6 +65,13 @@ _PI_PATTERN = re.compile(
 #: longer resolved, and a time grid spanning +-1e308 overflows.
 ANGLE_LIMIT = 1e6
 
+#: Largest accepted work sizes, far above the defaults.  Each bounds the time
+#: and memory of one run; a budget's coarse grid holds coarse^2 points.
+T_POINTS_LIMIT = 100_000
+THETA_POINTS_LIMIT = 10_000
+SAMPLES_LIMIT = 100_000
+COARSE_LIMIT = 1_000
+
 
 def parse_angle(text: Any) -> float:
     """Angle or time in radians, finite and at most ANGLE_LIMIT in magnitude;
@@ -99,12 +106,15 @@ def parse_source_state(text: Any) -> QutritPairState:
 
 
 def parse_budget(text: Any) -> SearchBudget:
-    """Search budget as 'coarse[:refinements[:shrink]]' or a bare integer."""
+    """Search budget as 'coarse[:refinements[:shrink]]' or a bare integer,
+    with coarse at most COARSE_LIMIT."""
     parts = str(text).split(":")
     try:
         if len(parts) > 3:
             raise ValueError("too many fields")
         coarse = int(parts[0])
+        if coarse > COARSE_LIMIT:
+            raise ConfigError(f"budget {text!r}: coarse must be at most {COARSE_LIMIT}")
         refinements = int(parts[1]) if len(parts) > 1 else 3
         shrink = float(parts[2]) if len(parts) > 2 else 5.0
         return SearchBudget(coarse, refinements, shrink)
@@ -288,13 +298,15 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if report["mandatory_passed"] else EXIT_VERIFY
 
 
-def _count(minimum: int) -> Callable[[Any], int]:
-    """Parser of an integer setting that must be at least ``minimum``."""
+def _count(minimum: int, limit: float = np.inf) -> Callable[[Any], int]:
+    """Parser of an integer setting in [``minimum``, ``limit``]."""
 
     def parse(value: Any) -> int:
         number = int(str(value))
         if number < minimum:
             raise ConfigError(f"must be at least {minimum}, got {number}")
+        if number > limit:
+            raise ConfigError(f"must be at most {limit}, got {number}")
         return number
 
     return parse
@@ -341,10 +353,24 @@ _THETA1 = Setting("theta1", parse_angle, 0.0, "target Schmidt angle (radians or 
 _THETA2 = Setting("theta2", parse_angle, np.pi / 4, "qubit-source Schmidt angle")
 _T_START = Setting("t_start", parse_angle, 0.0, "sweep start time")
 _T_STOP = Setting("t_stop", parse_angle, 2.0 * np.pi, "sweep stop time")
-_T_POINTS = Setting("t_points", _count(2), 601, "sweep grid size, at least 2")
-_THETA_POINTS = Setting("theta_points", _count(2), 65, "target-angle grid size, at least 2")
-_SAMPLES = Setting("samples", _count(100), 2000, "region sample count, at least 100")
-_BUDGET = Setting("budget", parse_budget, SearchBudget(), "search coarse[:refinements[:shrink]]")
+_T_POINTS = Setting(
+    "t_points", _count(2, T_POINTS_LIMIT), 601, f"sweep grid size, 2 to {T_POINTS_LIMIT}"
+)
+_THETA_POINTS = Setting(
+    "theta_points",
+    _count(2, THETA_POINTS_LIMIT),
+    65,
+    f"target-angle grid size, 2 to {THETA_POINTS_LIMIT}",
+)
+_SAMPLES = Setting(
+    "samples", _count(100, SAMPLES_LIMIT), 2000, f"region sample count, 100 to {SAMPLES_LIMIT}"
+)
+_BUDGET = Setting(
+    "budget",
+    parse_budget,
+    SearchBudget(),
+    f"search coarse[:refinements[:shrink]], coarse 2 to {COARSE_LIMIT}",
+)
 _E0 = Setting("e0", _parse_fraction, 0.2, "initial target negativity, in [0, 1]")
 _SP = Setting("sp", parse_source_state, STATE_A, "qutrit source: A, B, C or 'k0,k1,k2'")
 _STEPS = Setting("steps", _count(1), 4, "iteration count, at least 1")

@@ -1,8 +1,9 @@
 """Negativity of two-subsystem states, generic and X-state closed form.
 
 The generic route (eigenvalues of the partial transpose) scores every curve
-and staircase step; the vectorized X-state formula is the kernel of the
-half-period search (``qutritmax.negativity_at_half_period``).
+and staircase step; the vectorized X-state formula serves the half-period
+kernel (``qutritmax.negativity_at_half_period``) and the quadratic forms that
+rank the half-period search.
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@ simplex with a deterministic coarse grid plus local refinement.  The lower
 boundary of the attainable (I1', I2') region (the arc joining the maximally
 entangled state A to the balanced two-term state B) is extracted numerically
 from a dense sweep of the simplex.
+
+At the half period the evolved four-particle state is linear in the source
+amplitudes k, so the target pair's X-state coefficients are quadratic forms
+b = k^T B k, c = k^T C k and f = k^T F k with 3x3 matrices that depend on the
+target angle alone (B == C up to rounding).  The search ranks its grid with
+these forms and re-scores only the near-best points with the 36x36 kernel
+``negativity_at_half_period``, which stays the source of every reported value.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from .entanglement import xstate_negativity_raw
 from .model import TransferModel, full_evolution
-from .qla import POSITIVITY_TOL
+from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL
 from .transfer import QUTRIT_HALF_PERIOD, STATE_A, STATE_B, STATE_C, QutritPairState
 
 I1_MIN = 1.0 / 3.0
@@ -111,6 +118,30 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
     return values[0] if squeeze else values
 
 
+def _half_period_forms(theta1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 3x3 forms (B, C, F) of the half-period X-state coefficients: B and
+    C real symmetric, F complex symmetric.  Column i of ``m`` is the evolved
+    state that starts from the target state and the source |ii>."""
+    u = _half_period_evolution_matrix()
+    m = np.cos(theta1) * u[:, 0:9:4] + np.sin(theta1) * u[:, 27:36:4]
+    blocks = m.reshape(4, 9, 3)
+    b = (blocks[1].conj().T @ blocks[1]).real
+    c = (blocks[2].conj().T @ blocks[2]).real
+    f = blocks[0].T @ blocks[3].conj()
+    return b, c, (f + f.T) / 2
+
+
+def _form_negativity(forms: tuple[np.ndarray, ...], amps: np.ndarray) -> np.ndarray:
+    """X-state negativity of the (3, N) amplitude columns from the forms;
+    matches ``negativity_at_half_period`` to rounding, not to the bit.  One
+    real form at a time keeps every temporary at (3, N)."""
+    b, c, f = forms
+    b_k, c_k, f_re, f_im = (
+        np.einsum("in,in->n", q @ amps, amps) for q in (b, c, f.real, f.imag)
+    )
+    return xstate_negativity_raw(b_k, c_k, np.hypot(f_re, f_im))
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Deterministic search effort: a coarse-by-coarse angle grid, then
@@ -162,6 +193,17 @@ def maximize_E12_half_period(
     the result dominates each of them.  Deterministic: ties resolve to the
     lowest (k0^2, k1^2) lexicographically, and the best point ever seen is
     kept across refinement rounds.
+
+    Each round scores every grid point with the 3x3 quadratic forms, which
+    agree with ``negativity_at_half_period`` to about 1e-15.  Only the points
+    within ``DEFAULT_ALGEBRAIC_TOL`` of the round's best form score, and never
+    fewer than the best two, are re-scored with that kernel, and the
+    selection runs on the kernel values.  The band holds every point that
+    could be the kernel's maximum, so ``e_max``, the argmax and
+    ``evaluations`` (grid points scored) are bit for bit those of scoring the
+    whole grid with the kernel.  A lone column is not enough: numpy sends a
+    one-column product to gemv, whose last bit can differ from the batched
+    gemm that the whole grid used.
     """
     if not np.isfinite(theta1):
         raise ValueError(f"theta1 must be finite, got {theta1!r}")
@@ -172,6 +214,7 @@ def maximize_E12_half_period(
     best_amps: np.ndarray | None = None
     best_angles: np.ndarray | None = None
     evaluations = 0
+    forms = _half_period_forms(theta1)
     for round_index in range(budget.refinements + 1):
         alpha_axis = np.linspace(lo[0], hi[0], budget.coarse)
         beta_axis = np.linspace(lo[1], hi[1], budget.coarse)
@@ -181,10 +224,14 @@ def maximize_E12_half_period(
             alpha = np.concatenate([alpha, seeds[:, 0]])
             beta = np.concatenate([beta, seeds[:, 1]])
         amps = _amplitudes_from_angles(alpha, beta)
-        values = negativity_at_half_period(theta1, amps)
-        evaluations += values.size
+        scores = _form_negativity(forms, amps)
+        band = np.flatnonzero(scores >= scores.max() - DEFAULT_ALGEBRAIC_TOL)
+        if band.size < 2:
+            band = np.sort(np.argpartition(scores, -2)[-2:])
+        values = negativity_at_half_period(theta1, amps[:, band])
+        evaluations += scores.size
         top = values.max()
-        candidates = np.flatnonzero(values == top)
+        candidates = band[values == top]
         keys = [(amps[0, i] ** 2, amps[1, i] ** 2) for i in candidates]
         pick = candidates[min(range(len(candidates)), key=keys.__getitem__)]
         key = (amps[0, pick] ** 2, amps[1, pick] ** 2)

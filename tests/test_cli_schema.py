@@ -16,7 +16,11 @@ from hypothesis import strategies as st
 import spin_transfer.cli as cli
 from spin_transfer.cli import (
     ANGLE_LIMIT,
+    COARSE_LIMIT,
     COMMANDS,
+    SAMPLES_LIMIT,
+    T_POINTS_LIMIT,
+    THETA_POINTS_LIMIT,
     ConfigError,
     main,
     parse_angle,
@@ -138,6 +142,38 @@ def test_bad_value_exits_2_naming_the_field(argv, field, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command,name,over",
+    [
+        ("fig2", "t_points", str(T_POINTS_LIMIT + 1)),
+        ("fig4", "theta_points", str(THETA_POINTS_LIMIT + 1)),
+        ("fig3", "samples", str(SAMPLES_LIMIT + 1)),
+        ("fig3", "budget", f"{COARSE_LIMIT + 1}:0:2"),
+        ("maximize", "budget", str(10**9)),
+    ],
+)
+def test_work_size_over_its_limit_exits_2_naming_the_field(command, name, over, tmp_path, capsys):
+    out = tmp_path / f"x{COMMANDS[command].suffixes[0]}"
+    code, err = run([command, flag(name), over, "--out", str(out)], capsys)
+    assert code == 2 and err.count("\n") == 1 and err.startswith(f"error: {flag(name)}:")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: over}))
+    code, err = run([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and err.count("\n") == 1 and err.startswith(f"error: config key {name!r}:")
+    assert not out.exists()
+
+
+def test_work_size_limits_are_accepted():
+    settings_by_name = {s.name: s for c in COMMANDS.values() for s in c.settings}
+    for name, limit in [
+        ("t_points", T_POINTS_LIMIT),
+        ("theta_points", THETA_POINTS_LIMIT),
+        ("samples", SAMPLES_LIMIT),
+    ]:
+        assert settings_by_name[name].parse(str(limit)) == limit
+    assert parse_budget(f"{COARSE_LIMIT}:0:2").coarse == COARSE_LIMIT
+
+
+@pytest.mark.parametrize(
     "joined,spaced",
     [
         (["--theta1=-pi/6"], ["--theta1", "-pi/6"]),
@@ -224,7 +260,8 @@ def test_parse_budget_is_total(text):
         budget = parse_budget(text)
     except ConfigError:
         return
-    assert budget.coarse >= 2 and budget.refinements >= 0 and 1.0 < budget.shrink < math.inf
+    assert 2 <= budget.coarse <= COARSE_LIMIT
+    assert budget.refinements >= 0 and 1.0 < budget.shrink < math.inf
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
