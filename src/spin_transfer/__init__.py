@@ -1,12 +1,12 @@
 """Exact simulator of entanglement transfer between spin pairs coupled by
 pairwise isotropic exchange.
 
-The lower layers stay importable from their own modules: ``kron``,
-``partial_trace``, ``partial_transpose`` and ``propagator`` from
-``spin_transfer.qla``; ``TransferModel``, ``full_evolution``,
-``pair_propagator``, ``closed_form_propagator``, ``heisenberg_pair`` and
-``spin_operators`` from ``spin_transfer.model``; ``initial_full_state`` from
-``spin_transfer.transfer``.
+The lower layers stay importable from their own modules: ``kron`` and
+``propagator`` from ``spin_transfer.qla``; ``TransferModel``,
+``full_evolution``, ``pair_propagator``, ``closed_form_propagator``,
+``heisenberg_pair`` and ``spin_operators`` from ``spin_transfer.model``;
+``initial_full_state`` and ``evolve_and_reduce`` (the target|source cut)
+from ``spin_transfer.transfer``.
 """
 
 from .entanglement import (

@@ -93,7 +93,7 @@ def parse_angle(text: Any) -> float:
 
 
 def parse_source_state(text: Any) -> QutritPairState:
-    """Named state A/B/C or an amplitude triple (normalized)."""
+    """Named state A/B/C or a triple of non-negative real amplitudes (normalized)."""
     if isinstance(text, str) and text.strip().upper() in ("A", "B", "C"):
         return QutritPairState.from_label(text.strip())
     parts = text.split(",") if isinstance(text, str) else text
@@ -372,7 +372,9 @@ _BUDGET = Setting(
     f"search coarse[:refinements[:shrink]], coarse 2 to {COARSE_LIMIT}",
 )
 _E0 = Setting("e0", _parse_fraction, 0.2, "initial target negativity, in [0, 1]")
-_SP = Setting("sp", parse_source_state, STATE_A, "qutrit source: A, B, C or 'k0,k1,k2'")
+_SP = Setting(
+    "sp", parse_source_state, STATE_A, "qutrit source: A, B, C or non-negative 'k0,k1,k2'"
+)
 _STEPS = Setting("steps", _count(1), 4, "iteration count, at least 1")
 _MODE = Setting("mode", canonical_mode, MODE_PURE_RESET, "pure-reset or mixed")
 _STAIRCASE = (_E0, _SP, _STEPS, _MODE)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator, partial_transpose
+from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator
 
 X_PATTERN = np.array(
     [
@@ -93,14 +93,16 @@ class XStateCoeffs:
 
 def negativity(rho: Operator) -> NegativityValue:
     """Negativity of a two-subsystem state ``rho``: minus twice the sum of
-    negative eigenvalues of its partial transpose."""
+    negative eigenvalues of its partial transpose on the second subsystem."""
     if len(rho.dims) != 2:
         raise ValueError(f"negativity needs two subsystems, got dims {rho.dims}")
     if not rho.is_density():
         raise ValueError("input is not a density operator (trace/Hermiticity/positivity)")
-    eigs = np.linalg.eigvalsh(partial_transpose(rho, 1).matrix)
+    a, b = rho.dims
+    transposed = rho.matrix.reshape(a, b, a, b).transpose(0, 3, 2, 1).reshape(a * b, a * b)
+    eigs = np.linalg.eigvalsh(transposed)
     raw = float(-2.0 * eigs[eigs < 0].sum())
-    return NegativityValue.from_raw(raw, upper=float(min(rho.dims) - 1))
+    return NegativityValue.from_raw(raw, upper=float(min(a, b) - 1))
 
 
 def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:

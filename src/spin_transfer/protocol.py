@@ -17,11 +17,12 @@ import numpy as np
 
 from .entanglement import negativity, schmidt_angle_from_negativity
 from .model import full_evolution
-from .qla import Operator, kron, partial_trace
+from .qla import Operator, kron
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     QubitPairState,
     QutritPairState,
+    evolve_and_reduce,
     evolve_reduced,
     model_for_source,
 )
@@ -92,10 +93,8 @@ def iterate_transfer(
     sp_density = sp.density()
     e = negativity(rho_tp).value
     for step in range(1, steps + 1):
-        full = kron(rho_tp, sp_density)
-        evolved = Operator(u.matrix @ full.matrix @ u.matrix.conj().T, full.dims)
         snapshot = rho_tp
-        rho_tp = partial_trace(evolved, (0, 1))
+        rho_tp = evolve_and_reduce(u, kron(rho_tp, sp_density))
         e_after = negativity(rho_tp).value
         records.append(IterationRecord(step, e, e_after, mode, snapshot))
         e = e_after

@@ -1,16 +1,17 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
-Immutable operators, tensor products, propagators from the Hermitian
-eigendecomposition and partial trace/transpose, all pure functions.
-Dimensions stay tiny (at most 36), so clarity wins over performance
-everywhere.
+Immutable operators, tensor products and propagators from the Hermitian
+eigendecomposition, all pure functions.  The two cuts the physics makes,
+target pair | source pair (``transfer.evolve_and_reduce``) and target A |
+target B (``entanglement.negativity``), live next to the state layouts they
+depend on.  Dimensions stay tiny (at most 36), so clarity wins over
+performance everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable
 
 import numpy as np
 
@@ -87,43 +88,3 @@ def propagator(h: Operator, t: float) -> Operator:
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(u, h.dims)
 
-
-def _check_subsystem_indices(indices: Iterable[int], n: int, what: str) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    if not idx:
-        raise ValueError(f"{what} must not be empty")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"{what} contains duplicates: {idx}")
-    if any(i < 0 or i >= n for i in idx):
-        raise ValueError(f"{what} {idx} out of range for {n} subsystems")
-    return idx
-
-
-def partial_trace(rho: Operator, keep: Iterable[int]) -> Operator:
-    """Trace out every subsystem not listed in ``keep`` (original order kept)."""
-    n = len(rho.dims)
-    if n < 2:
-        raise ValueError("partial trace needs at least two subsystems")
-    kept = tuple(sorted(_check_subsystem_indices(keep, n, "keep set")))
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    row = list(range(n))
-    col = [n + i for i in range(n)]
-    for i in range(n):
-        if i not in kept:
-            col[i] = row[i]
-    out = [row[i] for i in kept] + [col[i] for i in kept]
-    kept_dims = tuple(rho.dims[i] for i in kept)
-    d = prod(kept_dims)
-    reduced = np.einsum(t, row + col, out).reshape(d, d)
-    return Operator(reduced, kept_dims)
-
-
-def partial_transpose(rho: Operator, subsystem: int) -> Operator:
-    """Transpose a single subsystem in place; involutive and spectrum-real
-    preserving on Hermitian inputs."""
-    n = len(rho.dims)
-    (k,) = _check_subsystem_indices([subsystem], n, "subsystem")
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    axes = list(range(2 * n))
-    axes[k], axes[n + k] = axes[n + k], axes[k]
-    return Operator(t.transpose(axes).reshape(rho.dim, rho.dim), rho.dims)

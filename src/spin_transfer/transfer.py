@@ -1,7 +1,9 @@
 """End-to-end entanglement transfer pipeline.
 
 Builds the initial product state, evolves the four particles, reduces to the
-target pair and scores its negativity.  The numeric pipeline
+target pair and scores its negativity.  ``evolve_and_reduce`` is the one
+target|source cut: it conjugates a (2, 2, d, d) state by the four-particle
+propagator and traces out the source pair.  The numeric pipeline
 (``evolve_reduced``) is authoritative; the analytic coefficient functions
 are regression artifacts.  For a qutrit source one transcribed analytic
 coefficient is wrong: between the revival times the inner diagonal entry
@@ -11,7 +13,6 @@ rounding; ``qutrit_closed_form_discrepancy`` quantifies this.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .entanglement import XStateCoeffs, negativity
 from .model import TransferModel, full_evolution
-from .qla import Operator, partial_trace
+from .qla import Operator
 
 QUBIT_SOURCE_PERIOD = 2.0 * np.pi
 QUTRIT_SOURCE_PERIOD = 4.0 * np.pi / 3.0
@@ -37,9 +38,6 @@ class QubitPairState:
 
     theta: float
 
-    def amplitudes(self) -> np.ndarray:
-        return np.array([np.cos(self.theta), np.sin(self.theta)])
-
     def state_vector(self) -> np.ndarray:
         vec = np.zeros(4, dtype=complex)
         vec[0], vec[3] = np.cos(self.theta), np.sin(self.theta)
@@ -53,29 +51,33 @@ class QubitPairState:
         return abs(float(np.sin(2.0 * self.theta)))
 
 
+_AMPLITUDE_NAMES = ("k0", "k1", "k2")
+
+
+def _amplitude(name: str, value: float) -> float:
+    """``value`` as a float, with -0.0 as 0.0; negative and non-real values
+    are rejected, since a sign or phase changes the dynamics."""
+    real = float(np.real(value))
+    if np.imag(value) != 0 or real < 0:
+        raise ValueError(f"amplitude {name} = {value!r} is not a non-negative real number")
+    return real + 0.0
+
+
 @dataclass(frozen=True)
 class QutritPairState:
-    """Schmidt-form two-qutrit pure state with non-negative amplitudes
-    k0|00> + k1|11> + k2|22>.  Complex inputs are canonicalized to their
-    magnitudes with a warning; the dynamics studied here only ever depend
-    on the squared magnitudes."""
+    """Schmidt-form two-qutrit pure state k0|00> + k1|11> + k2|22> with
+    non-negative real amplitudes.  Negative and complex amplitudes are
+    rejected: their signs and phases change the transferred entanglement, so
+    no magnitude stands in for them."""
 
     k0: float
     k1: float
     k2: float
 
     def __post_init__(self) -> None:
-        amps = []
-        for name in ("k0", "k1", "k2"):
-            val = getattr(self, name)
-            if isinstance(val, complex) or val < 0:
-                warnings.warn(
-                    "qutrit amplitudes are canonicalized to magnitudes",
-                    stacklevel=3,
-                )
-                val = abs(val)
-            object.__setattr__(self, name, float(val))
-            amps.append(float(getattr(self, name)))
+        amps = [_amplitude(name, getattr(self, name)) for name in _AMPLITUDE_NAMES]
+        for name, val in zip(_AMPLITUDE_NAMES, amps):
+            object.__setattr__(self, name, val)
         norm_sq = sum(a * a for a in amps)
         if not abs(norm_sq - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(
@@ -85,7 +87,7 @@ class QutritPairState:
 
     @classmethod
     def normalized(cls, k0: float, k1: float, k2: float) -> "QutritPairState":
-        amps = np.abs(np.asarray([k0, k1, k2], dtype=complex)).astype(float)
+        amps = np.array([_amplitude(n, k) for n, k in zip(_AMPLITUDE_NAMES, (k0, k1, k2))])
         largest = amps.max()
         if not 0.0 < largest < np.inf:  # NaN fails too
             raise ValueError(f"cannot normalize {(k0, k1, k2)}: not finite or all zero")
@@ -129,8 +131,6 @@ class TransferTrace:
 
     times: np.ndarray
     negativities: np.ndarray
-    theta1: float
-    source_label: str
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -160,14 +160,23 @@ def initial_full_state(tp: QubitPairState, sp: SourceState) -> Operator:
     return Operator(np.outer(vec, vec.conj()), (2, 2, d, d))
 
 
+def evolve_and_reduce(u: Operator, rho0: Operator) -> Operator:
+    """Target-pair state of u rho0 u^dagger: conjugate the (2, 2, d, d)
+    four-particle state ``rho0`` by the propagator ``u``, then trace out the
+    source pair (the last two subsystems)."""
+    dims = rho0.dims
+    if len(dims) != 4 or dims[:2] != (2, 2) or dims[2] != dims[3] or u.dims != dims:
+        raise ValueError(
+            f"expected a (2, 2, d, d) state and a propagator on it, got dims {dims} and {u.dims}"
+        )
+    rho_t = (u.matrix @ rho0.matrix @ u.matrix.conj().T).reshape(dims + dims)
+    return Operator(np.einsum("abijABij->abAB", rho_t).reshape(4, 4), (2, 2))
+
+
 def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
     """Reduced target-pair state after evolving for time ``t``: evolve the
     full product state unitarily, then trace out the source pair."""
-    model = model_for_source(sp)
-    u = full_evolution(model, t)
-    rho0 = initial_full_state(tp, sp)
-    rho_t = Operator(u.matrix @ rho0.matrix @ u.matrix.conj().T, rho0.dims)
-    return partial_trace(rho_t, (0, 1))
+    return evolve_and_reduce(full_evolution(model_for_source(sp), t), initial_full_state(tp, sp))
 
 
 def closed_form_rho12_qubit(theta1: float, theta2: float, t: float) -> XStateCoeffs:
@@ -269,12 +278,7 @@ def entanglement_curve(
     values = np.array(
         [negativity(evolve_reduced(tp, sp, t)).value for t in times], dtype=float
     )
-    label = (
-        f"qubit(theta2={sp.theta:.6g})"
-        if isinstance(sp, QubitPairState)
-        else f"qutrit(k=({sp.k0:.6g},{sp.k1:.6g},{sp.k2:.6g}))"
-    )
-    return TransferTrace(times, values, tp.theta, label)
+    return TransferTrace(times, values)
 
 
 def default_time_grid(period: float) -> np.ndarray:

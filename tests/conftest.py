@@ -25,6 +25,15 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def trace_out_sources(rho: Operator) -> Operator:
+    """Target-pair state of a (2, 2, d, d) state, traced with two nested
+    ``np.trace`` calls over the source axes: an oracle independent of
+    ``transfer.evolve_and_reduce``."""
+    t = rho.matrix.reshape(rho.dims + rho.dims)  # axes (a, b, i, j, A, B, I, J)
+    t = np.trace(np.trace(t, axis1=3, axis2=7), axis1=2, axis2=5)
+    return Operator(t.reshape(4, 4), (2, 2))
+
+
 def max_abs(a, b) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 

@@ -131,6 +131,7 @@ def test_json_suffix_writes_json_table(tmp_path):
         (["iterate", "--steps", "2.5"], "--steps"),
         (["fig4", "--e0", "1.5"], "--e0"),
         (["fig3", "--seed", "-1"], "--seed"),
+        (["iterate", "--sp", "1,-1,1"], "--sp"),
     ],
 )
 def test_bad_value_exits_2_naming_the_field(argv, field, tmp_path, capsys):

@@ -39,6 +39,15 @@ class TestNegativity:
         value = negativity(rho)
         assert value.raw == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+    def test_unequal_subsystems(self, dims):
+        # cos(0.3)|00> + sin(0.3)|11>; cut as (3, 2) instead of (2, 3), or the
+        # reverse, the same vector is a product state
+        vec = np.zeros(6)
+        vec[0], vec[np.ravel_multi_index((1, 1), dims)] = np.cos(0.3), np.sin(0.3)
+        value = negativity(Operator(np.outer(vec, vec), dims)).value
+        assert value == pytest.approx(np.sin(0.6), abs=1e-12)
+
     def test_local_unitary_invariance(self, rng):
         rho = schmidt_density(0.5)
         base = negativity(rho).value

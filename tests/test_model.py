@@ -14,10 +14,10 @@ from spin_transfer.model import (
     pair_propagator,
     spin_operators,
 )
-from spin_transfer.qla import Operator, partial_trace, propagator
+from spin_transfer.qla import Operator, propagator
 from spin_transfer.transfer import QubitPairState, QutritPairState, initial_full_state
 
-from conftest import max_abs
+from conftest import max_abs, trace_out_sources
 
 H22_EXPECTED = 0.25 * np.array(
     [
@@ -203,7 +203,7 @@ class TestFullEvolution:
         u = full_evolution(model, np.pi)
         rho0 = initial_full_state(tp, sp)
         rho_t = Operator(u.matrix @ rho0.matrix @ u.matrix.conj().T, rho0.dims)
-        reduced = partial_trace(rho_t, (0, 1))
+        reduced = trace_out_sources(rho_t)
         assert negativity(reduced).value == pytest.approx(sp.initial_negativity(), abs=1e-9)
 
     def test_exchange_symmetry_of_leg_assignment(self, rng):
@@ -218,5 +218,5 @@ class TestFullEvolution:
             values = []
             for evo in (full_evolution(model, t), propagator(h_swapped, t)):
                 rho_t = Operator(evo.matrix @ rho0.matrix @ evo.matrix.conj().T, rho0.dims)
-                values.append(negativity(partial_trace(rho_t, (0, 1))).value)
+                values.append(negativity(trace_out_sources(rho_t)).value)
             assert values[0] == pytest.approx(values[1], abs=1e-10)

@@ -50,7 +50,7 @@ def test_readme_imports_of_the_lower_layers_resolve():
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     assert not set(namespace) & set(spin_transfer.__all__)
-    assert "propagator" in namespace and "initial_full_state" in namespace
+    assert {"propagator", "initial_full_state", "evolve_and_reduce"} <= set(namespace)
 
 
 def test_readme_quick_tour_prints_its_stated_values(capsys):

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from spin_transfer.model import heisenberg_pair, spin_operators
-from spin_transfer.qla import Operator, kron, partial_trace, partial_transpose, propagator
+from spin_transfer.qla import Operator, kron, propagator
 
 from conftest import max_abs, random_density, random_hermitian
-
-BELL = Operator(0.5 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]), (2, 2))
-
 
 def identity(dims) -> Operator:
     return Operator(np.eye(int(np.prod(dims))), tuple(dims))
@@ -130,63 +127,4 @@ class TestPropagator:
             evolved = u @ rho.matrix @ u.conj().T
             assert abs(np.trace(evolved) - 1) < 1e-10
             assert np.linalg.eigvalsh(evolved)[0] > -1e-9
-
-
-class TestPartialTrace:
-    def test_product_state_marginal(self, rng):
-        a = random_density(rng, (2,))
-        b = random_density(rng, (3,))
-        joint = kron(a, b)
-        assert max_abs(partial_trace(joint, [0]).matrix, a.matrix) < 1e-12
-        assert max_abs(partial_trace(joint, [1]).matrix, b.matrix) < 1e-12
-
-    def test_bell_marginal_is_maximally_mixed(self):
-        reduced = partial_trace(BELL, [0])
-        assert max_abs(reduced.matrix, np.eye(2) / 2) < 1e-14
-
-    def test_linearity_and_trace(self, rng):
-        x = random_density(rng, (2, 2, 2))
-        y = random_density(rng, (2, 2, 2))
-        mix = Operator(0.3 * x.matrix + 0.7 * y.matrix, x.dims)
-        lhs = partial_trace(mix, [0, 2]).matrix
-        rhs = 0.3 * partial_trace(x, [0, 2]).matrix + 0.7 * partial_trace(y, [0, 2]).matrix
-        assert max_abs(lhs, rhs) < 1e-12
-        assert abs(np.trace(lhs) - 1) < 1e-12
-
-    def test_keep_order_preserved(self, rng):
-        rho = random_density(rng, (2, 3, 2))
-        out = partial_trace(rho, [2, 0])
-        assert out.dims == (2, 2)
-
-    def test_invalid_keep_set(self):
-        rho = identity((2, 2))
-        with pytest.raises(ValueError):
-            partial_trace(rho, [])
-        with pytest.raises(ValueError):
-            partial_trace(rho, [5])
-
-
-class TestPartialTranspose:
-    def test_product_state_stays_positive(self, rng):
-        joint = kron(random_density(rng, (2,)), random_density(rng, (2,)))
-        for k in (0, 1):
-            eigs = np.linalg.eigvalsh(partial_transpose(joint, k).matrix)
-            assert eigs[0] > -1e-12
-
-    def test_bell_minimum_eigenvalue(self):
-        eigs = np.linalg.eigvalsh(partial_transpose(BELL, 1).matrix)
-        assert eigs[0] == pytest.approx(-0.5, abs=1e-12)
-
-    def test_involution(self, rng):
-        rho = random_hermitian(rng, (2, 2))
-        back = partial_transpose(partial_transpose(rho, 1), 1)
-        assert max_abs(back.matrix, rho.matrix) == 0
-
-    def test_hermiticity_preserved(self, rng):
-        rho = random_hermitian(rng, (2, 3))
-        assert partial_transpose(rho, 1).hermiticity_defect() <= 1e-12
-
-    def test_invalid_subsystem(self):
-        with pytest.raises(ValueError):
-            partial_transpose(identity((2, 2)), 3)
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spin_transfer.entanglement import XStateCoeffs, negativity
+from spin_transfer.qla import Operator, kron
 from spin_transfer.transfer import (
     QUBIT_SOURCE_PERIOD,
     QUTRIT_HALF_PERIOD,
@@ -16,12 +19,13 @@ from spin_transfer.transfer import (
     closed_form_rho12_qutrit,
     default_time_grid,
     entanglement_curve,
+    evolve_and_reduce,
     evolve_reduced,
     initial_full_state,
     qutrit_closed_form_discrepancy,
 )
 
-from conftest import max_abs
+from conftest import max_abs, random_density, random_unitary, trace_out_sources
 
 
 def random_qutrit_state(rng) -> QutritPairState:
@@ -45,10 +49,26 @@ class TestStates:
         assert sp.k0 == pytest.approx(np.sqrt(0.5))
         assert sp.k2 == 0.0
 
-    def test_complex_amplitudes_canonicalized_with_warning(self):
-        with pytest.warns(UserWarning, match="canonicalized"):
-            sp = QutritPairState(-np.sqrt(0.5), np.sqrt(0.5), 0.0)
-        assert sp.k0 == pytest.approx(np.sqrt(0.5))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "amps,name",
+        [
+            ((-np.sqrt(0.5), np.sqrt(0.5), 0.0), "k0"),
+            ((np.sqrt(0.5), 0.0, np.sqrt(0.5) * 1j), "k2"),
+        ],
+    )
+    def test_signed_or_complex_amplitudes_rejected(self, amps, name):
+        with pytest.raises(ValueError, match=f"amplitude {name} = .* not a non-negative real"):
+            QutritPairState(*amps)
+
+    @pytest.mark.parametrize("amps,name", [((1, -1, 1), "k1"), ((1, 1j, 1), "k1")])
+    def test_normalized_rejects_signed_or_complex_amplitudes(self, amps, name):
+        with pytest.raises(ValueError, match=f"amplitude {name} = .* not a non-negative real"):
+            QutritPairState.normalized(*amps)
+
+    def test_negative_zero_amplitude_is_zero(self):
+        sp = QutritPairState.normalized(-0.0, 1.0, 1.0)
+        assert np.copysign(1.0, sp.k0) == 1.0
 
     def test_named_states(self):
         assert QutritPairState.from_label("a") == STATE_A
@@ -93,10 +113,59 @@ class TestInitialFullState:
 
     def test_tp_marginal_negativity(self):
         rho = initial_full_state(QubitPairState(np.pi / 4), STATE_A)
-        from spin_transfer.qla import partial_trace
-
-        reduced = partial_trace(rho, (0, 1))
+        reduced = trace_out_sources(rho)
         assert negativity(reduced).value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestEvolveAndReduce:
+    """The target|source cut against the test-local nested-trace oracle."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_matches_nested_trace_oracle(self, d, seed):
+        rng = np.random.default_rng(seed)
+        dims = (2, 2, d, d)
+        u = Operator(random_unitary(rng, 4 * d * d), dims)
+        rho0 = random_density(rng, dims)
+        evolved = Operator(u.matrix @ rho0.matrix @ u.matrix.conj().T, dims)
+        reduced = evolve_and_reduce(u, rho0)
+        assert reduced.dims == (2, 2)
+        assert max_abs(reduced.matrix, trace_out_sources(evolved).matrix) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_product_state_marginal(self, rng, d):
+        a = random_density(rng, (2, 2))
+        rho0 = kron(a, random_density(rng, (d, d)))
+        identity = Operator(np.eye(4 * d * d), rho0.dims)
+        assert max_abs(evolve_and_reduce(identity, rho0).matrix, a.matrix) < 1e-12
+
+    def test_target_marginal_of_maximal_entanglement(self):
+        vec = np.eye(4).reshape(16) / 2  # sum over (a, b) of |ab>|ab> / 2
+        rho0 = Operator(np.outer(vec, vec), (2, 2, 2, 2))
+        identity = Operator(np.eye(16), rho0.dims)
+        assert max_abs(evolve_and_reduce(identity, rho0).matrix, np.eye(4) / 4) < 1e-15
+
+    def test_linearity_and_unit_trace(self, rng):
+        dims = (2, 2, 3, 3)
+        u = Operator(random_unitary(rng, 36), dims)
+        x, y = random_density(rng, dims), random_density(rng, dims)
+        mix = Operator(0.3 * x.matrix + 0.7 * y.matrix, dims)
+        lhs = evolve_and_reduce(u, mix).matrix
+        rhs = 0.3 * evolve_and_reduce(u, x).matrix + 0.7 * evolve_and_reduce(u, y).matrix
+        assert max_abs(lhs, rhs) < 1e-12
+        assert abs(np.trace(lhs) - 1) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2), (2, 3, 2, 2)])
+    def test_rejects_other_layouts(self, dims):
+        eye = Operator(np.eye(int(np.prod(dims))), dims)
+        with pytest.raises(ValueError, match=r"\(2, 2, d, d\)"):
+            evolve_and_reduce(eye, eye)
+
+    def test_rejects_propagator_on_another_space(self):
+        rho0 = initial_full_state(QubitPairState(0.3), STATE_A)
+        u = Operator(np.eye(16), (2, 2, 2, 2))
+        with pytest.raises(ValueError, match=r"\(2, 2, d, d\)"):
+            evolve_and_reduce(u, rho0)
 
 
 class TestEvolveReduced:
@@ -251,9 +320,9 @@ class TestEntanglementCurve:
 
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="increasing"):
-            TransferTrace(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 0.1, "x")
+            TransferTrace(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="equal length"):
-            TransferTrace(np.array([0.0, 1.0]), np.array([0.0]), 0.1, "x")
+            TransferTrace(np.array([0.0, 1.0]), np.array([0.0]))
 
     def test_default_grid(self):
         grid = default_time_grid(QUBIT_SOURCE_PERIOD)
