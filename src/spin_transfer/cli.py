@@ -66,11 +66,14 @@ _PI_PATTERN = re.compile(
 ANGLE_LIMIT = 1e6
 
 #: Largest accepted work sizes, far above the defaults.  Each bounds the time
-#: and memory of one run; a budget's coarse grid holds coarse^2 points.
+#: and memory of one run; a budget's coarse grid holds coarse^2 points and
+#: each refinement scores one more such grid.
 T_POINTS_LIMIT = 100_000
 THETA_POINTS_LIMIT = 10_000
 SAMPLES_LIMIT = 100_000
 COARSE_LIMIT = 1_000
+REFINEMENTS_LIMIT = 100
+STEPS_LIMIT = 10_000
 
 
 def parse_angle(text: Any) -> float:
@@ -107,7 +110,8 @@ def parse_source_state(text: Any) -> QutritPairState:
 
 def parse_budget(text: Any) -> SearchBudget:
     """Search budget as 'coarse[:refinements[:shrink]]' or a bare integer,
-    with coarse at most COARSE_LIMIT."""
+    with coarse at most COARSE_LIMIT and refinements at most
+    REFINEMENTS_LIMIT."""
     parts = str(text).split(":")
     try:
         if len(parts) > 3:
@@ -116,6 +120,8 @@ def parse_budget(text: Any) -> SearchBudget:
         if coarse > COARSE_LIMIT:
             raise ConfigError(f"budget {text!r}: coarse must be at most {COARSE_LIMIT}")
         refinements = int(parts[1]) if len(parts) > 1 else 3
+        if refinements > REFINEMENTS_LIMIT:
+            raise ConfigError(f"budget {text!r}: refinements must be at most {REFINEMENTS_LIMIT}")
         shrink = float(parts[2]) if len(parts) > 2 else 5.0
         return SearchBudget(coarse, refinements, shrink)
     except (ValueError, IndexError) as exc:
@@ -369,13 +375,14 @@ _BUDGET = Setting(
     "budget",
     parse_budget,
     SearchBudget(),
-    f"search coarse[:refinements[:shrink]], coarse 2 to {COARSE_LIMIT}",
+    f"search coarse[:refinements[:shrink]], coarse 2 to {COARSE_LIMIT},"
+    f" refinements 0 to {REFINEMENTS_LIMIT}",
 )
 _E0 = Setting("e0", _parse_fraction, 0.2, "initial target negativity, in [0, 1]")
 _SP = Setting(
     "sp", parse_source_state, STATE_A, "qutrit source: A, B, C or non-negative 'k0,k1,k2'"
 )
-_STEPS = Setting("steps", _count(1), 4, "iteration count, at least 1")
+_STEPS = Setting("steps", _count(1, STEPS_LIMIT), 4, f"iteration count, 1 to {STEPS_LIMIT}")
 _MODE = Setting("mode", canonical_mode, MODE_PURE_RESET, "pure-reset or mixed")
 _STAIRCASE = (_E0, _SP, _STEPS, _MODE)
 _TABLE, _JSON = (".csv", ".json"), (".json",)

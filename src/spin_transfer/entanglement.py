@@ -1,9 +1,12 @@
 """Negativity of two-subsystem states, generic and X-state closed form.
 
-The generic route (eigenvalues of the partial transpose) scores every curve
-and staircase step; the vectorized X-state formula serves the half-period
-kernel (``qutritmax.negativity_at_half_period``) and the quadratic forms that
-rank the half-period search.
+The generic route (eigenvalues of the partial transpose) is written once, for
+a stack of states: ``negativities`` scores a whole time grid of
+``transfer.entanglement_curve`` in one call, and ``negativity``, its
+one-state case, scores every staircase step and ``fig2`` row.  The
+vectorized X-state formula serves the half-period kernel
+(``qutritmax.negativity_at_half_period``) and the quadratic forms that rank
+the half-period search.
 """
 
 from __future__ import annotations
@@ -91,18 +94,66 @@ class XStateCoeffs:
         return cls(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, complex(m[0, 3]))
 
 
+def clamp_negativity(raw, upper: float = 1.0) -> np.ndarray:
+    """The array form of ``NegativityValue.from_raw``: raw negativities
+    clamped to [0, upper], where a value outside that range by more than
+    ``POSITIVITY_TOL``, or a NaN, raises ValueError naming the first one.
+    A -0.0 stays -0.0, as with ``min(max(raw, 0.0), upper)``."""
+    raw = np.asarray(raw, dtype=float)
+    inside = (raw >= -POSITIVITY_TOL) & (raw <= upper + POSITIVITY_TOL)
+    if not inside.all():
+        value = float(raw.flat[np.argmin(inside)])
+        raise ValueError(
+            f"negativity {value!r} outside [0, {upper}] by more than tol {POSITIVITY_TOL:.1e}"
+        )
+    return np.where(raw < 0.0, 0.0, np.minimum(raw, upper))
+
+
+def negativities(states: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Raw negativity of each state of a stack (N, a*b, a*b) on the
+    subsystems ``dims`` = (a, b): minus twice the sum of the negative
+    eigenvalues of its partial transpose on the second subsystem.
+
+    Every state must be a density operator: Hermitian within
+    ``DEFAULT_ALGEBRAIC_TOL``, of unit trace within ``POSITIVITY_TOL`` and
+    with no eigenvalue below ``-POSITIVITY_TOL`` (a NaN fails every check).
+    The checks run in that order, and the ValueError names the first state
+    that fails the first failing check.  One ``eigvalsh`` call takes the
+    spectra of the states and of their partial transposes.
+    """
+    asymmetry = abs(states - states.conj().swapaxes(1, 2))
+    trace = abs(states.trace(axis1=1, axis2=2) - 1.0)
+    if not (
+        asymmetry.max(initial=0.0) <= DEFAULT_ALGEBRAIC_TOL
+        and trace.max(initial=0.0) <= POSITIVITY_TOL
+    ):
+        hermiticity = asymmetry.max(axis=(1, 2))
+        _reject("Hermiticity defect", hermiticity, hermiticity <= DEFAULT_ALGEBRAIC_TOL)
+        _reject("trace defect", trace, trace <= POSITIVITY_TOL)
+    a, b = dims
+    n = len(states)
+    transposed = states.reshape(n, a, b, a, b).transpose(0, 1, 4, 3, 2).reshape(n, a * b, a * b)
+    spectra = np.linalg.eigvalsh(np.concatenate([states, transposed]))
+    least = spectra[:n, 0]
+    if not least.min(initial=0.0) >= -POSITIVITY_TOL:
+        _reject("eigenvalue", least, least >= -POSITIVITY_TOL)
+    return -2.0 * np.minimum(spectra[n:], 0.0).sum(axis=1)
+
+
+def _reject(name: str, values: np.ndarray, ok: np.ndarray) -> None:
+    """Raise ValueError naming the first state where ``ok`` is False."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"input is not a density operator: state {i}: {name} {values[i]:.3e}")
+
+
 def negativity(rho: Operator) -> NegativityValue:
-    """Negativity of a two-subsystem state ``rho``: minus twice the sum of
-    negative eigenvalues of its partial transpose on the second subsystem."""
+    """Negativity of a two-subsystem state ``rho``; the one-state case of
+    ``negativities``."""
     if len(rho.dims) != 2:
         raise ValueError(f"negativity needs two subsystems, got dims {rho.dims}")
-    if not rho.is_density():
-        raise ValueError("input is not a density operator (trace/Hermiticity/positivity)")
-    a, b = rho.dims
-    transposed = rho.matrix.reshape(a, b, a, b).transpose(0, 3, 2, 1).reshape(a * b, a * b)
-    eigs = np.linalg.eigvalsh(transposed)
-    raw = float(-2.0 * eigs[eigs < 0].sum())
-    return NegativityValue.from_raw(raw, upper=float(min(a, b) - 1))
+    raw = float(negativities(rho.matrix[None], rho.dims)[0])
+    return NegativityValue.from_raw(raw, upper=float(min(rho.dims) - 1))
 
 
 def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:

@@ -5,7 +5,9 @@ qubit and one source particle (qubit or qutrit).  Two propagator routes
 exist: the eigendecomposition route (authoritative) and a closed-form matrix
 (regression check).  ``full_evolution`` is the tensor product of the pair
 propagator on legs (0,2) and (1,3) of the (target, target, source, source)
-product space.
+product space.  The pair coupling has two eigenvalues, so each model also
+carries its two spectral projectors, from which ``transfer.entanglement_curve``
+builds the propagator at every time of a grid.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import Operator, kron, propagator
+from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, kron, propagator
 
 SUPPORTED_SOURCE_DIMS = (2, 3)
 
@@ -52,13 +54,50 @@ def heisenberg_pair(source_dim: int) -> Operator:
     return Operator(total, (2, source_dim))
 
 
+def spectral_projectors(h: Operator, eigenvalues: tuple[float, float]) -> tuple[Operator, Operator]:
+    """Projectors (P_minus, P_plus) of a Hamiltonian ``h`` with exactly the two
+    ``eigenvalues`` (lambda_minus, lambda_plus): P_plus = (h - lambda_minus)
+    / (lambda_plus - lambda_minus) and P_minus = (lambda_plus - h) / (same).
+
+    Raises ValueError unless P^2 = P for both, P_minus + P_plus = I and
+    h = lambda_minus P_minus + lambda_plus P_plus within
+    ``DEFAULT_ALGEBRAIC_TOL``.
+    """
+    lo, hi = eigenvalues
+    eye = np.eye(h.dim)
+    p_minus = (hi * eye - h.matrix) / (hi - lo)
+    p_plus = (h.matrix - lo * eye) / (hi - lo)
+    defects = {
+        "P_minus^2 - P_minus": p_minus @ p_minus - p_minus,
+        "P_plus^2 - P_plus": p_plus @ p_plus - p_plus,
+        "P_minus + P_plus - I": p_minus + p_plus - eye,
+        "lambda_minus P_minus + lambda_plus P_plus - H": lo * p_minus + hi * p_plus - h.matrix,
+    }
+    for name, residual in defects.items():
+        defect = float(np.abs(residual).max())
+        if not defect <= DEFAULT_ALGEBRAIC_TOL:
+            raise ValueError(
+                f"eigenvalues {eigenvalues} do not split the Hamiltonian: max|{name}| = "
+                f"{defect:.3e} exceeds tol {DEFAULT_ALGEBRAIC_TOL:.1e}"
+            )
+    return Operator(p_minus, h.dims), Operator(p_plus, h.dims)
+
+
 @dataclass(frozen=True)
 class TransferModel:
     """One target qubit coupled to one source particle, replicated on both
-    legs of the four-particle system (targets 0,1 and sources 2,3)."""
+    legs of the four-particle system (targets 0,1 and sources 2,3).
+
+    The pair coupling s.S = (J^2 - s^2 - S^2)/2, with total spin
+    J = S -+ 1/2, has the two ``pair_eigenvalues`` -(S + 1)/2 and S/2: -3/4
+    and 1/4 for a qubit source, -1 and 1/2 for a qutrit source.  The pair
+    propagator is u(t) = exp(-i lambda_minus t) P_minus
+    + exp(-i lambda_plus t) P_plus with the ``pair_projectors``."""
 
     source_dim: int
     pair_hamiltonian: Operator
+    pair_eigenvalues: tuple[float, float]
+    pair_projectors: tuple[Operator, Operator]
 
     @classmethod
     @functools.cache
@@ -66,7 +105,10 @@ class TransferModel:
         """One shared model per source dimension; its operators are read-only."""
         if source_dim not in SUPPORTED_SOURCE_DIMS:
             raise ValueError(f"unsupported source dimension {source_dim}")
-        return cls(source_dim, heisenberg_pair(source_dim))
+        h = heisenberg_pair(source_dim)
+        spin = (source_dim - 1) / 2
+        eigenvalues = (-(spin + 1) / 2, spin / 2)
+        return cls(source_dim, h, eigenvalues, spectral_projectors(h, eigenvalues))
 
 
 def closed_form_propagator(model: TransferModel, t: float) -> Operator:

@@ -1,11 +1,11 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
 Immutable operators, tensor products and propagators from the Hermitian
-eigendecomposition, all pure functions.  The two cuts the physics makes,
-target pair | source pair (``transfer.evolve_and_reduce``) and target A |
-target B (``entanglement.negativity``), live next to the state layouts they
-depend on.  Dimensions stay tiny (at most 36), so clarity wins over
-performance everywhere.
+eigendecomposition, all pure functions.  The two cuts the physics makes, target pair | source
+pair (``transfer.evolve_and_reduce``, and ``transfer.entanglement_curve`` for
+its stack of pure states) and target A | target B
+(``entanglement.negativities``), live next to the state layouts they depend
+on.  Dimensions stay tiny (at most 36).
 """
 
 from __future__ import annotations
@@ -50,21 +50,9 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
     def hermiticity_defect(self) -> float:
         """Largest entrywise deviation from self-adjointness."""
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
-    def is_hermitian(self) -> bool:
-        return self.hermiticity_defect() <= DEFAULT_ALGEBRAIC_TOL
-
-    def is_density(self) -> bool:
-        """Unit trace, Hermitian, and no eigenvalue below ``-POSITIVITY_TOL``."""
-        if not self.is_hermitian() or abs(self.trace() - 1.0) > POSITIVITY_TOL:
-            return False
-        return float(np.linalg.eigvalsh(self.matrix)[0]) >= -POSITIVITY_TOL
 
 
 def kron(a: Operator, b: Operator) -> Operator:

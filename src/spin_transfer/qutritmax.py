@@ -167,9 +167,19 @@ class MaximizationResult:
 
 
 def _amplitudes_from_angles(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return np.vstack(
-        [np.cos(alpha), np.sin(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta)]
+    """Amplitude columns (cos a, sin a cos b, sin a sin b) of the broadcast
+    angles, stacked along a new first axis of length 3."""
+    sin_alpha = np.sin(alpha)
+    return np.stack(
+        np.broadcast_arrays(np.cos(alpha), sin_alpha * np.cos(beta), sin_alpha * np.sin(beta))
     )
+
+
+def _grid_amplitudes(alpha_axis: np.ndarray, beta_axis: np.ndarray) -> np.ndarray:
+    """(3, len(alpha_axis) * len(beta_axis)) amplitude columns of the grid,
+    alpha slowest (``meshgrid`` with ``indexing="ij"``).  Cosines and sines
+    are taken on the two axes only."""
+    return _amplitudes_from_angles(alpha_axis[:, None], beta_axis[None, :]).reshape(3, -1)
 
 
 #: Angle coordinates of the distinguished states, evaluated as explicit
@@ -180,6 +190,7 @@ _SEED_ANGLES = (
     (float(np.pi / 4), 0.0),  # state B
     (0.0, 0.0),  # state C
 )
+_SEED_AMPLITUDES = _amplitudes_from_angles(*np.array(_SEED_ANGLES).T)
 
 
 def maximize_E12_half_period(
@@ -218,12 +229,9 @@ def maximize_E12_half_period(
     for round_index in range(budget.refinements + 1):
         alpha_axis = np.linspace(lo[0], hi[0], budget.coarse)
         beta_axis = np.linspace(lo[1], hi[1], budget.coarse)
-        alpha, beta = (g.ravel() for g in np.meshgrid(alpha_axis, beta_axis, indexing="ij"))
+        amps = _grid_amplitudes(alpha_axis, beta_axis)
         if round_index == 0:
-            seeds = np.array(_SEED_ANGLES)
-            alpha = np.concatenate([alpha, seeds[:, 0]])
-            beta = np.concatenate([beta, seeds[:, 1]])
-        amps = _amplitudes_from_angles(alpha, beta)
+            amps = np.hstack([amps, _SEED_AMPLITUDES])
         scores = _form_negativity(forms, amps)
         band = np.flatnonzero(scores >= scores.max() - DEFAULT_ALGEBRAIC_TOL)
         if band.size < 2:
@@ -239,7 +247,12 @@ def maximize_E12_half_period(
             best_value = float(top)
             best_key = key
             best_amps = amps[:, pick].copy()
-            best_angles = np.array([alpha[pick], beta[pick]])
+            row, col = divmod(pick, budget.coarse)
+            best_angles = np.array(
+                [alpha_axis[row], beta_axis[col]]
+                if row < budget.coarse
+                else _SEED_ANGLES[pick - budget.coarse**2]
+            )
         window = (hi - lo) / budget.shrink
         lo = np.clip(best_angles - window / 2, 0.0, np.pi / 2)
         hi = np.clip(best_angles + window / 2, 0.0, np.pi / 2)
@@ -296,8 +309,7 @@ def extract_lower_boundary(grid_points: int = 1201, bins: int = 600) -> LowerBou
     """Sweep the amplitude simplex densely and record, per I1' bin, the
     sample of least I2' (at its own abscissa, which avoids binning bias)."""
     axis = np.linspace(0.0, np.pi / 2, grid_points)
-    alpha, beta = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-    p = _amplitudes_from_angles(alpha, beta) ** 2
+    p = _grid_amplitudes(axis, axis) ** 2
     i1 = (p**2).sum(axis=0)
     i2p = (p**3).sum(axis=0) - 1.5 * i1
     edges = np.linspace(I1_MIN, 1.0, bins + 1)

@@ -1,14 +1,20 @@
 """End-to-end entanglement transfer pipeline.
 
 Builds the initial product state, evolves the four particles, reduces to the
-target pair and scores its negativity.  ``evolve_and_reduce`` is the one
-target|source cut: it conjugates a (2, 2, d, d) state by the four-particle
-propagator and traces out the source pair.  The numeric pipeline
-(``evolve_reduced``) is authoritative; the analytic coefficient functions
-are regression artifacts.  For a qutrit source one transcribed analytic
-coefficient is wrong: between the revival times the inner diagonal entry
-b (= c) departs from the numeric pipeline, while a, d and f match it to
-rounding; ``qutrit_closed_form_discrepancy`` quantifies this.
+target pair and scores its negativity.  ``evolve_and_reduce`` is the
+target|source cut of a density operator: it conjugates a (2, 2, d, d) state
+by the four-particle propagator and traces out the source pair.  The numeric
+pipeline (``evolve_reduced``) is authoritative: it is the route of ``fig2``,
+``verify`` and the staircase, and the oracle of ``entanglement_curve``.
+The curve takes the spectral route instead: each pair propagator is
+exp(-i lambda_minus t) P_minus + exp(-i lambda_plus t) P_plus, so the evolved
+state is a three-term phase sum of fixed vectors and a whole time grid is
+scored in one batched pass, which makes the same source cut on the stack of
+pure states.  The analytic coefficient functions are regression artifacts.
+For a qutrit source one transcribed analytic coefficient is wrong: between
+the revival times the inner diagonal entry b (= c) departs from the numeric
+pipeline, while a, d and f match it to rounding;
+``qutrit_closed_form_discrepancy`` quantifies this.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .entanglement import XStateCoeffs, negativity
+from .entanglement import XStateCoeffs, clamp_negativity, negativities
 from .model import TransferModel, full_evolution
 from .qla import Operator
 
@@ -270,14 +276,51 @@ def qutrit_closed_form_discrepancy(
     return rows
 
 
+def _spectral_components(tp: QubitPairState, sp: SourceState) -> np.ndarray:
+    """The three (4, d*d) components chi_j, rows (target a, b) and columns
+    (source i, j), of the evolved four-particle state
+    psi(t) = sum_j exp(-i j Delta t) chi_j (up to a global phase).
+
+    The propagator on legs (0,2) and (1,3) is u x u with
+    u = exp(-i lambda_minus t) (P_minus + exp(-i Delta t) P_plus), so chi_0,
+    chi_1 and chi_2 are (P_minus x P_minus), (P_minus x P_plus + P_plus x
+    P_minus) and (P_plus x P_plus) applied to the initial product state."""
+    model = model_for_source(sp)
+    d = model.source_dim
+    p = np.stack([q.matrix for q in model.pair_projectors]).reshape(2, 2, d, 2, d)
+    psi0 = tp.state_vector().reshape(2, 2)
+    source0 = sp.state_vector().reshape(d, d)
+    parts = np.einsum("xaiAI,ybjBJ,AB,IJ->xyabij", p, p, psi0, source0).reshape(2, 2, 4, d * d)
+    return np.stack([parts[0, 0], parts[0, 1] + parts[1, 0], parts[1, 1]])
+
+
 def entanglement_curve(
     tp: QubitPairState, sp: SourceState, t_grid: Sequence[float]
 ) -> TransferTrace:
-    """Target-pair negativity on a time grid via the numeric pipeline."""
+    """Target-pair negativity on a time grid, scored in one batched pass.
+
+    The evolved state is psi(t) = sum_j exp(-i j Delta t) chi_j, j = 0, 1, 2,
+    where Delta = lambda_plus - lambda_minus is 1 for a qubit source and 3/2
+    for a qutrit source.  The chi_j are built once; then one phase product
+    gives every psi(t), one source-trace ``einsum`` the (N, 4, 4) reduced
+    states, and ``negativities`` checks and scores the stack.  Agrees with
+    ``negativity(evolve_reduced(tp, sp, t))``, the oracle, to about 1e-13
+    for |t| <= 1e3; both routes carry about |t| * eps of phase rounding.
+
+    Raises ValueError naming the first time with a phase j * Delta * t that
+    is not finite (NaN, +-inf, or an overflow), before any evolution.
+    """
     times = np.asarray(t_grid, dtype=float)
-    values = np.array(
-        [negativity(evolve_reduced(tp, sp, t)).value for t in times], dtype=float
-    )
+    lo, hi = model_for_source(sp).pair_eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.multiply.outer(times.ravel(), -(hi - lo) * np.arange(3))
+    bad = np.flatnonzero(~np.isfinite(phases).all(axis=1))
+    if bad.size:
+        time = float(times.flat[bad[0]])
+        raise ValueError(f"time {time!r} at index {bad[0]} has a non-finite phase")
+    psi = np.tensordot(np.exp(1j * phases), _spectral_components(tp, sp), axes=1)
+    rho = np.einsum("nas,nbs->nab", psi, psi.conj())
+    values = clamp_negativity(negativities(rho, (2, 2)))
     return TransferTrace(times, values)
 
 

@@ -18,7 +18,9 @@ from spin_transfer.cli import (
     ANGLE_LIMIT,
     COARSE_LIMIT,
     COMMANDS,
+    REFINEMENTS_LIMIT,
     SAMPLES_LIMIT,
+    STEPS_LIMIT,
     T_POINTS_LIMIT,
     THETA_POINTS_LIMIT,
     ConfigError,
@@ -150,6 +152,9 @@ def test_bad_value_exits_2_naming_the_field(argv, field, tmp_path, capsys):
         ("fig3", "samples", str(SAMPLES_LIMIT + 1)),
         ("fig3", "budget", f"{COARSE_LIMIT + 1}:0:2"),
         ("maximize", "budget", str(10**9)),
+        ("maximize", "budget", f"2:{REFINEMENTS_LIMIT + 1}:2"),
+        ("iterate", "steps", str(STEPS_LIMIT + 1)),
+        ("fig4", "steps", str(10**9)),
     ],
 )
 def test_work_size_over_its_limit_exits_2_naming_the_field(command, name, over, tmp_path, capsys):
@@ -169,9 +174,11 @@ def test_work_size_limits_are_accepted():
         ("t_points", T_POINTS_LIMIT),
         ("theta_points", THETA_POINTS_LIMIT),
         ("samples", SAMPLES_LIMIT),
+        ("steps", STEPS_LIMIT),
     ]:
         assert settings_by_name[name].parse(str(limit)) == limit
     assert parse_budget(f"{COARSE_LIMIT}:0:2").coarse == COARSE_LIMIT
+    assert parse_budget(f"2:{REFINEMENTS_LIMIT}:2").refinements == REFINEMENTS_LIMIT
 
 
 @pytest.mark.parametrize(
@@ -262,7 +269,7 @@ def test_parse_budget_is_total(text):
     except ConfigError:
         return
     assert 2 <= budget.coarse <= COARSE_LIMIT
-    assert budget.refinements >= 0 and 1.0 < budget.shrink < math.inf
+    assert 0 <= budget.refinements <= REFINEMENTS_LIMIT and 1.0 < budget.shrink < math.inf
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from spin_transfer.entanglement import (
     NegativityValue,
     XStateCoeffs,
+    clamp_negativity,
+    negativities,
     negativity,
     negativity_xstate,
     schmidt_angle_from_negativity,
@@ -77,6 +79,50 @@ class TestNegativity:
             rho = random_density(np.random.default_rng(0), dims)
             with pytest.raises(ValueError, match="two subsystems"):
                 negativity(rho)
+
+
+def density_stack(rng, dims, n: int) -> np.ndarray:
+    return np.array([random_density(rng, dims).matrix for _ in range(n)])
+
+
+class TestNegativityStack:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_one_state_case_is_bit_identical(self, dims, rng):
+        states = density_stack(rng, dims, 100)
+        if dims == (2, 2):  # pure entangled states among the mixed ones
+            states[::3] = [schmidt_density(t).matrix for t in rng.uniform(-2.0, 2.0, 34)]
+        raws = negativities(states, dims)
+        singles = [negativity(Operator(m, dims)).raw for m in states]
+        assert raws.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize(
+        "index,defect,message",
+        [
+            (2, lambda m: m + 1e-8 * np.triu(np.ones_like(m), 1), "state 2: Hermiticity defect"),
+            (1, lambda m: 1.01 * m, "state 1: trace defect 1.000e-02"),
+            (3, lambda m: np.diag([1.5, -0.5, 0.0, 0.0]), "state 3: eigenvalue -5.000e-01"),
+            (0, lambda m: np.where(np.eye(4) == 1, np.nan, m), "state 0: Hermiticity defect nan"),
+        ],
+    )
+    def test_each_density_check_names_the_first_bad_state(self, index, defect, message, rng):
+        states = density_stack(rng, (2, 2), 5)
+        states[index] = defect(states[index])
+        states[4] = defect(states[4])  # a later state with the same defect is not named
+        with pytest.raises(ValueError, match=f"not a density operator: {message}"):
+            negativities(states, (2, 2))
+
+    def test_range_check_names_the_first_value_outside(self):
+        cases = [([0.2, 1.1, -1.0], "1.1"), ([-2e-9, 0.5], "-2e-09"), ([0.0, np.nan], "nan")]
+        for raw, bad in cases:
+            with pytest.raises(ValueError, match=f"negativity {bad} outside"):
+                clamp_negativity(np.array(raw))
+
+    def test_clamp_keeps_the_scalar_rule(self):
+        raw = np.array([-0.0, -5e-10, 0.3, 1.0 + 5e-10])
+        clamped = clamp_negativity(raw)
+        assert list(clamped) == [0.0, 0.0, 0.3, 1.0]
+        assert np.signbit(clamped[0]) and not np.signbit(clamped[1])
+        assert [min(max(r, 0.0), 1.0) for r in raw] == list(clamped)
 
 
 class TestNegativityValue:

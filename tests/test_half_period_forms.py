@@ -1,7 +1,7 @@
 """The half-period quadratic forms: the search that ranks with them against a
-copy of the search that scored every grid point with the 36x36 kernel, the
-forms against the kernel and the density pipeline, and the exact maximum
-they certify."""
+copy of the search that scored every grid point with the 36x36 kernel (and
+took cosines and sines at every grid point), the forms against the kernel
+and the density pipeline, and the exact maximum they certify."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,9 @@ from spin_transfer.qutritmax import (
     FIG3_THETA_GRID,
     InvariantPoint,
     SearchBudget,
-    _amplitudes_from_angles,
     _form_negativity,
+    _grid_amplitudes,
+    _SEED_AMPLITUDES,
     _half_period_forms,
     maximize_E12_half_period,
     negativity_at_half_period,
@@ -33,6 +34,14 @@ OFF_RANGE = (-3.0, -np.pi / 8, -0.05, 1.3, np.pi / 2, 3.0, 100.0)
 SWEEP = tuple(dict.fromkeys(FIG3_THETA_GRID + FIG4_GRID + OFF_RANGE))
 
 
+def meshgrid_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Amplitude columns as the search built them before it took cosines and
+    sines on the grid axes: trigonometry on every (alpha, beta) point."""
+    return np.vstack(
+        [np.cos(alpha), np.sin(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta)]
+    )
+
+
 def full_batch_maximize(theta1: float, budget: SearchBudget):
     """The search as it was before the forms: every grid point scored with
     ``negativity_at_half_period`` in one batch, same selection rule."""
@@ -48,7 +57,7 @@ def full_batch_maximize(theta1: float, budget: SearchBudget):
             seeds = np.array(_SEED_ANGLES)
             alpha = np.concatenate([alpha, seeds[:, 0]])
             beta = np.concatenate([beta, seeds[:, 1]])
-        amps = _amplitudes_from_angles(alpha, beta)
+        amps = meshgrid_amplitudes(alpha, beta)
         values = negativity_at_half_period(theta1, amps)
         evaluations += values.size
         top = values.max()
@@ -76,6 +85,34 @@ def assert_same_search(theta1: float, budget: SearchBudget) -> None:
     assert result.argmax_invariants == InvariantPoint.from_probabilities(
         QutritPairState(*amps).amplitudes() ** 2
     )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGridAmplitudes:
+    def test_match_the_meshgrid_amplitudes_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            lo, hi = np.sort(rng.uniform(0.0, np.pi / 2, (2, 2)), axis=0)
+            n = int(rng.integers(2, 80))
+            alpha_axis, beta_axis = np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n)
+            alpha, beta = (g.ravel() for g in np.meshgrid(alpha_axis, beta_axis, indexing="ij"))
+            new = _grid_amplitudes(alpha_axis, beta_axis)
+            assert same_bits(new, meshgrid_amplitudes(alpha, beta))
+
+    def test_first_round_with_seeds_and_the_boundary_grid(self):
+        axis = np.linspace(0.0, np.pi / 2, SearchBudget().coarse)
+        alpha, beta = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        seeds = np.array(_SEED_ANGLES)
+        old = meshgrid_amplitudes(
+            np.concatenate([alpha, seeds[:, 0]]), np.concatenate([beta, seeds[:, 1]])
+        )
+        assert same_bits(np.hstack([_grid_amplitudes(axis, axis), _SEED_AMPLITUDES]), old)
+        axis = np.linspace(0.0, np.pi / 2, 1201)  # extract_lower_boundary's default grid
+        alpha, beta = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        assert same_bits(_grid_amplitudes(axis, axis), meshgrid_amplitudes(alpha, beta))
 
 
 class TestFormRankingIsExact:

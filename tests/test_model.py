@@ -12,6 +12,7 @@ from spin_transfer.model import (
     full_evolution,
     heisenberg_pair,
     pair_propagator,
+    spectral_projectors,
     spin_operators,
 )
 from spin_transfer.qla import Operator, propagator
@@ -106,7 +107,7 @@ class TestHeisenbergPair:
 
     @pytest.mark.parametrize("db", [2, 3])
     def test_traceless(self, db):
-        assert abs(heisenberg_pair(db).trace()) < 1e-14
+        assert abs(np.trace(heisenberg_pair(db).matrix)) < 1e-14
 
     def test_unsupported_dims(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -126,6 +127,38 @@ class TestHeisenbergPair:
         for _ in range(2):
             with pytest.raises(ValueError, match="unsupported source dimension 4"):
                 TransferModel.for_source_dim(4)
+
+
+class TestSpectralProjectors:
+    @pytest.mark.parametrize("source_dim,eigenvalues", [(2, (-0.75, 0.25)), (3, (-1.0, 0.5))])
+    def test_projectors_split_the_pair_hamiltonian(self, source_dim, eigenvalues):
+        model = TransferModel.for_source_dim(source_dim)
+        assert model.pair_eigenvalues == eigenvalues
+        (lo, hi), (p_minus, p_plus) = model.pair_eigenvalues, model.pair_projectors
+        eye = np.eye(2 * source_dim)
+        assert max_abs(p_minus.matrix @ p_minus.matrix, p_minus.matrix) < 1e-14
+        assert max_abs(p_plus.matrix @ p_plus.matrix, p_plus.matrix) < 1e-14
+        assert max_abs(p_minus.matrix @ p_plus.matrix, 0 * eye) < 1e-14
+        assert max_abs(p_minus.matrix + p_plus.matrix, eye) < 1e-14
+        h = lo * p_minus.matrix + hi * p_plus.matrix
+        assert max_abs(h, model.pair_hamiltonian.matrix) < 1e-14
+        # J = S + 1/2 has 2S + 2 states, J = S - 1/2 has 2S
+        assert round(np.trace(p_plus.matrix).real) == source_dim + 1
+        assert round(np.trace(p_minus.matrix).real) == source_dim - 1
+
+    @pytest.mark.parametrize("source_dim", [2, 3])
+    def test_spectral_propagator_matches_eigendecomposition(self, source_dim, rng):
+        model = TransferModel.for_source_dim(source_dim)
+        (lo, hi), (p_minus, p_plus) = model.pair_eigenvalues, model.pair_projectors
+        for t in rng.uniform(-20.0, 20.0, 20):
+            u = np.exp(-1j * lo * t) * p_minus.matrix + np.exp(-1j * hi * t) * p_plus.matrix
+            assert max_abs(u, pair_propagator(model, t).matrix) < 1e-13
+
+    @pytest.mark.parametrize("source_dim", [2, 3])
+    def test_wrong_eigenvalues_are_refused(self, source_dim):
+        other = TransferModel.for_source_dim(5 - source_dim).pair_eigenvalues
+        with pytest.raises(ValueError, match="do not split the Hamiltonian"):
+            spectral_projectors(heisenberg_pair(source_dim), other)
 
 
 class TestClosedFormPropagator:

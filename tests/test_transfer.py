@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_transfer.entanglement import XStateCoeffs, negativity
+from spin_transfer.qla import POSITIVITY_TOL
 from spin_transfer.qla import Operator, kron
 from spin_transfer.transfer import (
     QUBIT_SOURCE_PERIOD,
@@ -107,7 +108,7 @@ class TestInitialFullState:
 
     def test_rank_one_trace_one(self, rng):
         rho = initial_full_state(QubitPairState(rng.uniform(0, np.pi / 2)), random_qutrit_state(rng))
-        assert abs(rho.trace() - 1.0) < 1e-12
+        assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
         purity = np.trace(rho.matrix @ rho.matrix).real
         assert purity == pytest.approx(1.0, abs=1e-12)
 
@@ -318,6 +319,22 @@ class TestEntanglementCurve:
         assert np.all(trace.negativities >= 0.0)
         assert np.all(trace.negativities <= 1.0)
 
+    @pytest.mark.parametrize("sp", [QubitPairState(np.pi / 4), STATE_A], ids=["qubit", "qutrit"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_named(self, sp, bad):
+        grid = [0.0, 1.0, bad, np.nan]
+        with pytest.raises(ValueError, match=f"time {bad!r} at index 2 has a non-finite phase"):
+            entanglement_curve(QubitPairState(0.3), sp, grid)
+
+    def test_phase_overflow_is_named(self):
+        # 2 * (3/2) * 1e308 overflows for a qutrit source
+        with pytest.raises(ValueError, match="time 1e[+]308 at index 0 has a non-finite phase"):
+            entanglement_curve(QubitPairState(0.3), STATE_A, [1e308])
+
+    def test_empty_grid(self):
+        trace = entanglement_curve(QubitPairState(0.3), STATE_B, [])
+        assert trace.times.size == 0 and trace.negativities.size == 0
+
     def test_trace_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             TransferTrace(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
@@ -328,3 +345,29 @@ class TestEntanglementCurve:
         grid = default_time_grid(QUBIT_SOURCE_PERIOD)
         assert grid.size == 601
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(QUBIT_SOURCE_PERIOD)
+
+
+SOURCES = st.one_of(
+    st.floats(-4.0, 4.0).map(QubitPairState),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3)
+    .filter(lambda k: sum(k) > 1e-3)
+    .map(lambda k: QutritPairState.normalized(*k)),
+)
+TIMES = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    st.floats(-4.0, 4.0),
+    SOURCES,
+    st.lists(TIMES, min_size=1, max_size=12, unique=True).map(sorted),
+)
+def test_curve_matches_the_density_pipeline(theta1, sp, times):
+    """The batched spectral route against the oracle, point by point.  Both
+    round the phase to about |t| * eps, so beyond |t| = 1e3 the bound is the
+    positivity tolerance."""
+    tp = QubitPairState(theta1)
+    curve = entanglement_curve(tp, sp, times).negativities
+    for t, value in zip(times, curve):
+        oracle = negativity(evolve_reduced(tp, sp, t)).value
+        assert abs(value - oracle) <= (1e-12 if abs(t) <= 1e3 else POSITIVITY_TOL)
