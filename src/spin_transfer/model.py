@@ -3,11 +3,16 @@
 The interaction is the isotropic exchange coupling s1.s2 between one target
 qubit and one source particle (qubit or qutrit).  Two propagator routes
 exist: the eigendecomposition route (authoritative) and a closed-form matrix
-(regression check).  ``full_evolution`` is the tensor product of the pair
-propagator on legs (0,2) and (1,3) of the (target, target, source, source)
-product space.  The pair coupling has two eigenvalues, so each model also
-carries its two spectral projectors, from which ``transfer.entanglement_curve``
-builds the propagator at every time of a grid.
+(regression check).  The pair Hamiltonian does not depend on time, so
+``TransferModel.for_source_dim`` runs the checked ``qla.hermitian_eigh`` once
+per source dimension and keeps its read-only eigenvalues and eigenvectors;
+``pair_propagator`` only evaluates the spectral exponential from them, which
+is bit for bit ``qla.propagator`` of the pair Hamiltonian.
+``full_evolution`` is the tensor product of the pair propagator on legs
+(0,2) and (1,3) of the (target, target, source, source) product space.
+The pair coupling has two eigenvalues, so each model also carries its two
+spectral projectors, from which ``transfer.entanglement_curve`` builds the
+propagator at every time of a grid.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, kron, propagator
+from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, hermitian_eigh, kron, spectral_exponential
 
 SUPPORTED_SOURCE_DIMS = (2, 3)
 
@@ -92,12 +97,17 @@ class TransferModel:
     J = S -+ 1/2, has the two ``pair_eigenvalues`` -(S + 1)/2 and S/2: -3/4
     and 1/4 for a qubit source, -1 and 1/2 for a qutrit source.  The pair
     propagator is u(t) = exp(-i lambda_minus t) P_minus
-    + exp(-i lambda_plus t) P_plus with the ``pair_projectors``."""
+    + exp(-i lambda_plus t) P_plus with the ``pair_projectors``.
+
+    ``pair_eigh`` is the numeric eigendecomposition (w, v) of the pair
+    Hamiltonian from ``qla.hermitian_eigh``, both arrays read-only; it is
+    what ``pair_propagator`` evaluates."""
 
     source_dim: int
     pair_hamiltonian: Operator
     pair_eigenvalues: tuple[float, float]
     pair_projectors: tuple[Operator, Operator]
+    pair_eigh: tuple[np.ndarray, np.ndarray]
 
     @classmethod
     @functools.cache
@@ -108,7 +118,10 @@ class TransferModel:
         h = heisenberg_pair(source_dim)
         spin = (source_dim - 1) / 2
         eigenvalues = (-(spin + 1) / 2, spin / 2)
-        return cls(source_dim, h, eigenvalues, spectral_projectors(h, eigenvalues))
+        eigh = hermitian_eigh(h)
+        for array in eigh:
+            array.setflags(write=False)
+        return cls(source_dim, h, eigenvalues, spectral_projectors(h, eigenvalues), eigh)
 
 
 def closed_form_propagator(model: TransferModel, t: float) -> Operator:
@@ -150,8 +163,9 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
 
 
 def pair_propagator(model: TransferModel, t: float) -> Operator:
-    """Eigendecomposition propagator for the coupled pair."""
-    return propagator(model.pair_hamiltonian, t)
+    """Eigendecomposition propagator for the coupled pair, from the model's
+    cached ``pair_eigh``."""
+    return Operator(spectral_exponential(*model.pair_eigh, t), model.pair_hamiltonian.dims)
 
 
 def full_evolution(model: TransferModel, t: float) -> Operator:

@@ -1,9 +1,15 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
 Immutable operators, tensor products and propagators from the Hermitian
-eigendecomposition, all pure functions.  The two cuts the physics makes, target pair | source
-pair (``transfer.evolve_and_reduce``, and ``transfer.entanglement_curve`` for
-its stack of pure states) and target A | target B
+eigendecomposition, all pure functions.  ``kron`` is one broadcast multiply,
+entry for entry the product ``np.kron`` forms, without its generic set-up.
+``hermitian_eigh`` is the one checked eigendecomposition: ``propagator``
+runs it on every call and is the oracle the tests compare against, while
+``model.TransferModel`` runs it once per source dimension and keeps the
+result, so its pair propagator evaluates only ``spectral_exponential``.
+The two cuts the physics makes, target pair | source pair
+(``transfer.evolve_and_reduce``, and ``transfer.entanglement_curve`` for its
+stack of pure states) and target A | target B
 (``entanglement.negativities``), live next to the state layouts they depend
 on.  Dimensions stay tiny (at most 36).
 """
@@ -56,12 +62,17 @@ class Operator:
 
 
 def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; subsystem labels of ``b`` follow those of ``a``."""
-    return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
+    """Tensor product; subsystem labels of ``b`` follow those of ``a``.
+
+    One broadcast multiply, laid out as ``np.kron`` lays it out, so every
+    entry is the same single product a[i, j] * b[k, l]."""
+    (m, n), (p, q) = a.matrix.shape, b.matrix.shape
+    product = a.matrix[:, None, :, None] * b.matrix[None, :, None, :]
+    return Operator(product.reshape(m * p, n * q), a.dims + b.dims)
 
 
-def propagator(h: Operator, t: float) -> Operator:
-    """Unitary exp(-i h t) built from the eigendecomposition of ``h``.
+def hermitian_eigh(h: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors ``(w, v)`` of ``h``, as ``np.linalg.eigh``.
 
     Raises ValueError with the measured asymmetry when ``h`` is not
     Hermitian within ``DEFAULT_ALGEBRAIC_TOL`` (or holds a NaN).
@@ -72,7 +83,15 @@ def propagator(h: Operator, t: float) -> Operator:
             f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e}"
             f" exceeds tol {DEFAULT_ALGEBRAIC_TOL:.1e}"
         )
-    w, v = np.linalg.eigh(h.matrix)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(u, h.dims)
+    return np.linalg.eigh(h.matrix)
+
+
+def spectral_exponential(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """The matrix exp(-i h t) of the Hamiltonian h = v diag(w) v^dagger."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def propagator(h: Operator, t: float) -> Operator:
+    """Unitary exp(-i h t) built from the checked eigendecomposition of ``h``."""
+    return Operator(spectral_exponential(*hermitian_eigh(h), t), h.dims)
 

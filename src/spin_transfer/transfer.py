@@ -161,7 +161,7 @@ def model_for_source(sp: SourceState) -> TransferModel:
 
 def initial_full_state(tp: QubitPairState, sp: SourceState) -> Operator:
     """Rank-1 density operator of the four-particle product state."""
-    vec = np.kron(tp.state_vector(), sp.state_vector())
+    vec = (tp.state_vector()[:, None] * sp.state_vector()[None, :]).ravel()
     d = source_dim(sp)
     return Operator(np.outer(vec, vec.conj()), (2, 2, d, d))
 

@@ -2,14 +2,16 @@
 CLI exposes as a machine-readable report.
 
 Mandatory checks gate the exit status; the mid-revival comparison of the
-transcribed qutrit coefficients is informational only.  The transcription
-is kept verbatim: its a, d and f match the numeric pipeline, but its inner
-diagonal entry b (= c) is off between the revivals, and the check reports
-that deviation.
+transcribed qutrit coefficients is informational only.  Each check reports
+its largest deviation, NaN when any deviation is NaN, so a NaN fails it.
+The transcription is kept verbatim: its a, d and f match the numeric
+pipeline, but its inner diagonal entry b (= c) is off between the revivals,
+and the check reports that deviation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,38 +46,46 @@ class CheckResult:
     mandatory: bool
 
 
-def _check(name: str, tolerance: float, deviation: float) -> CheckResult:
-    """A mandatory check: it passes when ``deviation`` is below ``tolerance``."""
-    return CheckResult(name, tolerance, float(deviation), bool(deviation < tolerance), True)
+def _worst(deviations: Iterable[float]) -> float:
+    """The largest deviation, or NaN when any deviation is NaN (Python's
+    ``max`` would drop a NaN that is not in first position)."""
+    return float(np.max(list(deviations)))
+
+
+def _check(name: str, tolerance: float, deviations: Iterable[float]) -> CheckResult:
+    """A mandatory check: it passes when the largest of ``deviations`` is
+    below ``tolerance``, so a NaN deviation fails it."""
+    worst = _worst(deviations)
+    return CheckResult(name, tolerance, worst, bool(worst < tolerance), True)
 
 
 def check_propagator_closed_form(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     for source_dim in (2, 3):
         model = TransferModel.for_source_dim(source_dim)
         for t in rng.uniform(0.0, 4.0 * np.pi, 50):
-            dev = np.abs(
-                closed_form_propagator(model, t).matrix - pair_propagator(model, t).matrix
-            ).max()
-            worst = max(worst, float(dev))
-    return _check("closed-form propagator vs eigendecomposition", DEFAULT_ALGEBRAIC_TOL, worst)
+            closed = closed_form_propagator(model, t).matrix
+            deviations.append(np.abs(closed - pair_propagator(model, t).matrix).max())
+    return _check(
+        "closed-form propagator vs eigendecomposition", DEFAULT_ALGEBRAIC_TOL, deviations
+    )
 
 
 def check_half_period_identity() -> CheckResult:
     thetas = np.linspace(0.0, np.pi / 2, 20)
-    worst = 0.0
+    deviations = []
     for t1 in thetas:
         for t2 in thetas:
             rho = evolve_reduced(QubitPairState(t1), QubitPairState(t2), np.pi)
             expected = abs(np.sin(2.0 * t2))
-            worst = max(worst, abs(negativity(rho).value - expected))
-    return _check("half-period transfer identity (qubit source)", IDENTITY_TOL, worst)
+            deviations.append(abs(negativity(rho).value - expected))
+    return _check("half-period transfer identity (qubit source)", IDENTITY_TOL, deviations)
 
 
 def check_periodicity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     for i in range(100):
         tp = QubitPairState(rng.uniform(0.0, np.pi / 2))
         t = rng.uniform(0.0, 2.0 * np.pi)
@@ -87,8 +97,8 @@ def check_periodicity(seed: int = 0) -> CheckResult:
             period = QUTRIT_SOURCE_PERIOD
         e_t = negativity(evolve_reduced(tp, sp, t)).value
         e_shift = negativity(evolve_reduced(tp, sp, t + period)).value
-        worst = max(worst, abs(e_shift - e_t))
-    return _check("negativity periodicity (qubit 2pi, qutrit 4pi/3)", IDENTITY_TOL, worst)
+        deviations.append(abs(e_shift - e_t))
+    return _check("negativity periodicity (qubit 2pi, qutrit 4pi/3)", IDENTITY_TOL, deviations)
 
 
 def random_xstate(rng: np.random.Generator) -> XStateCoeffs:
@@ -102,27 +112,29 @@ def random_xstate(rng: np.random.Generator) -> XStateCoeffs:
 
 def check_xstate_formula(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     for _ in range(1000):
         coeffs = random_xstate(rng)
         fast = negativity_xstate(coeffs).value
         generic = negativity(coeffs.to_operator()).value
-        worst = max(worst, abs(fast - generic))
-    return _check("X-state formula vs generic negativity", DEFAULT_ALGEBRAIC_TOL, worst)
+        deviations.append(abs(fast - generic))
+    return _check("X-state formula vs generic negativity", DEFAULT_ALGEBRAIC_TOL, deviations)
 
 
 def check_qubit_closed_form() -> CheckResult:
     thetas = np.linspace(0.0, np.pi / 2, 10)
     times = np.linspace(0.0, 2.0 * np.pi, 10)
-    worst = 0.0
+    deviations = []
     for t1 in thetas:
         for t2 in thetas:
             for t in times:
                 analytic = closed_form_rho12_qubit(t1, t2, t).to_operator().matrix
                 numeric = evolve_reduced(QubitPairState(t1), QubitPairState(t2), t).matrix
-                worst = max(worst, float(np.abs(analytic - numeric).max()))
+                deviations.append(np.abs(analytic - numeric).max())
     return _check(
-        "analytic qubit-source coefficients vs numeric pipeline", DEFAULT_ALGEBRAIC_TOL, worst
+        "analytic qubit-source coefficients vs numeric pipeline",
+        DEFAULT_ALGEBRAIC_TOL,
+        deviations,
     )
 
 
@@ -132,18 +144,18 @@ def check_qutrit_closed_form_endpoints(rows: list[dict[str, float]]) -> CheckRes
         for r in rows
         if min(abs(r["t"]), abs(r["t"] - QUTRIT_SOURCE_PERIOD)) < EXACT_TOL
     ]
-    worst = max(r["max_deviation"] for r in endpoint_rows)
     return _check(
-        "analytic qutrit-source coefficients at revival endpoints", IDENTITY_TOL, worst
+        "analytic qutrit-source coefficients at revival endpoints",
+        IDENTITY_TOL,
+        (r["max_deviation"] for r in endpoint_rows),
     )
 
 
 def check_qutrit_closed_form_midtimes(rows: list[dict[str, float]]) -> CheckResult:
-    worst = max(r["max_deviation"] for r in rows)
     return CheckResult(
         "analytic qutrit-source coefficients between revivals (informational)",
         DEFAULT_ALGEBRAIC_TOL,
-        float(worst),
+        _worst(r["max_deviation"] for r in rows),
         None,
         False,
     )
@@ -155,11 +167,11 @@ def check_distinguished_invariants() -> CheckResult:
         "B": (STATE_B, (1.0 / 2.0, 1.0 / 4.0)),
         "C": (STATE_C, (1.0, 1.0)),
     }
-    worst = 0.0
+    deviations = []
     for state, (i1, i2) in table.values():
         point = invariants(state)
-        worst = max(worst, abs(point.i1 - i1), abs(point.i2 - i2))
-    return _check("distinguished qutrit state invariants", EXACT_TOL, worst)
+        deviations += [abs(point.i1 - i1), abs(point.i2 - i2)]
+    return _check("distinguished qutrit state invariants", EXACT_TOL, deviations)
 
 
 def run_checks(seed: int = 0) -> dict:

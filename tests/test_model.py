@@ -161,6 +161,31 @@ class TestSpectralProjectors:
             spectral_projectors(heisenberg_pair(source_dim), other)
 
 
+class TestCachedEigendecomposition:
+    """``pair_propagator`` evaluates the model's cached eigendecomposition;
+    ``qla.propagator`` recomputes it on every call and is the oracle."""
+
+    TIMES = [0.0, 1.0, -1.0, 2 * np.pi / 3, np.pi, 1e3, -1e3, 1e6, -1e6]
+
+    @pytest.mark.parametrize("source_dim", [2, 3])
+    def test_bit_for_bit_the_oracle(self, source_dim):
+        model = TransferModel.for_source_dim(source_dim)
+        for t in [*self.TIMES, *np.linspace(-4 * np.pi, 4 * np.pi, 601)]:
+            fast = pair_propagator(model, t)
+            oracle = propagator(model.pair_hamiltonian, t)
+            assert fast.dims == oracle.dims == (2, source_dim)
+            assert fast.matrix.tobytes() == oracle.matrix.tobytes(), t
+
+    @pytest.mark.parametrize("source_dim", [2, 3])
+    def test_cached_arrays_are_read_only(self, source_dim):
+        w, v = TransferModel.for_source_dim(source_dim).pair_eigh
+        assert w.shape == (2 * source_dim,) and v.shape == (2 * source_dim, 2 * source_dim)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 0.0
+
+
 class TestClosedFormPropagator:
     @pytest.mark.parametrize("source_dim", [2, 3])
     def test_matches_eigendecomposition_on_random_times(self, source_dim, rng):

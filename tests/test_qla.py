@@ -66,6 +66,18 @@ class TestKron:
         expected = np.diag([0.5, 0.0, -0.5, -0.5, 0.0, 0.5])
         assert max_abs(out.matrix, expected) < 1e-15
 
+    @pytest.mark.parametrize(
+        "da,db", [((4,), (9,)), ((2, 2), (3, 3)), ((2,), (3,)), ((3,), (2,)), ((1,), (6,))]
+    )
+    def test_bit_for_bit_np_kron(self, rng, da, db):
+        """The broadcast product is np.kron entry for entry, bits included;
+        (4 x 4) x (9 x 9) is the mixed staircase's target x source state."""
+        for _ in range(20):
+            a, b = random_hermitian(rng, da), random_density(rng, db)
+            out = kron(a, b)
+            assert out.dims == a.dims + b.dims
+            assert out.matrix.tobytes() == np.kron(a.matrix, b.matrix).tobytes()
+
 
 def phases(u: Operator, t: float) -> np.ndarray:
     """Sorted eigenphases of ``u`` divided by -t: the spectrum of the

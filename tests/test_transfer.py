@@ -112,6 +112,16 @@ class TestInitialFullState:
         purity = np.trace(rho.matrix @ rho.matrix).real
         assert purity == pytest.approx(1.0, abs=1e-12)
 
+    def test_bit_for_bit_np_kron_construction(self, rng):
+        sources = [random_qutrit_state(rng) for _ in range(10)]
+        sources += [QubitPairState(t) for t in rng.uniform(-np.pi, np.pi, 10)]
+        sources += [STATE_A, STATE_B, STATE_C]
+        for sp in sources:
+            tp = QubitPairState(rng.uniform(-np.pi, np.pi))
+            vec = np.kron(tp.state_vector(), sp.state_vector())
+            expected = np.outer(vec, vec.conj())
+            assert initial_full_state(tp, sp).matrix.tobytes() == expected.tobytes()
+
     def test_tp_marginal_negativity(self):
         rho = initial_full_state(QubitPairState(np.pi / 4), STATE_A)
         reduced = trace_out_sources(rho)
