@@ -4,9 +4,9 @@ The generic route (eigenvalues of the partial transpose) is written once, for
 a stack of states: ``negativities`` scores a whole time grid of
 ``transfer.entanglement_curve`` in one call, and ``negativity``, its
 one-state case, scores every staircase step and ``fig2`` row.  The
-vectorized X-state formula serves the half-period kernel
-(``qutritmax.negativity_at_half_period``) and the quadratic forms that rank
-the half-period search.
+vectorized X-state formula serves the half-period quadratic forms, which
+score both ``qutritmax.negativity_at_half_period`` and the half-period
+search.
 """
 
 from __future__ import annotations

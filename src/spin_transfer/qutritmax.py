@@ -11,22 +11,28 @@ from a dense sweep of the simplex.
 At the half period the evolved four-particle state is linear in the source
 amplitudes k, so the target pair's X-state coefficients are quadratic forms
 b = k^T B k, c = k^T C k and f = k^T F k with 3x3 matrices that depend on the
-target angle alone (B == C up to rounding).  The search ranks its grid with
-these forms and re-scores only the near-best points with the 36x36 kernel
-``negativity_at_half_period``, which stays the source of every reported value.
+target angle alone (B == C up to rounding).  They are built from the pair
+propagator and are the only half-period route: ``negativity_at_half_period``
+and the search both score with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .entanglement import xstate_negativity_raw
-from .model import TransferModel, full_evolution
-from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL
-from .transfer import QUTRIT_HALF_PERIOD, STATE_A, STATE_B, STATE_C, QutritPairState
+from .model import TransferModel, pair_propagator
+from .qla import POSITIVITY_TOL
+from .transfer import (
+    NORMALIZATION_TOL,
+    QUTRIT_HALF_PERIOD,
+    STATE_A,
+    STATE_B,
+    STATE_C,
+    QutritPairState,
+)
 
 I1_MIN = 1.0 / 3.0
 INVARIANT_TOL = 1e-9
@@ -86,17 +92,17 @@ def sample_physical_region(
     return [(s, invariants(s)) for s in states]
 
 
-@lru_cache(maxsize=1)
-def _half_period_evolution_matrix() -> np.ndarray:
-    return full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
-
-
 def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarray:
     """Target-pair negativity after one half period with a qutrit source.
 
-    ``amplitudes`` has shape (3,) or (3, N); returns a scalar array or a
-    length-N vector.  Vectorized fast path for sweeps; agrees with the
-    generic pipeline to within rounding (covered by tests).
+    ``amplitudes`` has shape (3,) or (3, N), one Schmidt amplitude column
+    per source state; returns a scalar array or a length-N vector of raw
+    X-state negativities, scored with the 3x3 forms of ``_half_period_forms``.
+
+    Raises ValueError for a non-finite ``theta1``, a leading dimension other
+    than 3, and the first column that ``QutritPairState`` would refuse: a
+    negative entry, or a sum of squares off 1 by more than
+    ``NORMALIZATION_TOL`` (NaN included).
     """
     amps = np.asarray(amplitudes, dtype=float)
     squeeze = amps.ndim == 1
@@ -104,26 +110,28 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
         amps = amps[:, None]
     if amps.shape[0] != 3:
         raise ValueError(f"amplitudes must have leading dimension 3, got {amps.shape}")
-    tp = np.array([np.cos(theta1), 0.0, 0.0, np.sin(theta1)], dtype=complex)
-    n = amps.shape[1]
-    source = np.zeros((9, n), dtype=complex)
-    source[0], source[4], source[8] = amps[0], amps[1], amps[2]
-    psi0 = (tp[:, None, None] * source[None, :, :]).reshape(36, n)
-    psi = _half_period_evolution_matrix() @ psi0
-    blocks = psi.reshape(4, 9, n)
-    b = np.einsum("sn,sn->n", blocks[1], blocks[1].conj()).real
-    c = np.einsum("sn,sn->n", blocks[2], blocks[2].conj()).real
-    f = np.einsum("sn,sn->n", blocks[0], blocks[3].conj())
-    values = xstate_negativity_raw(b, c, np.abs(f))
+    if not np.isfinite(theta1):
+        raise ValueError(f"theta1 must be finite, got {theta1!r}")
+    off_norm = ~(np.abs(np.einsum("in,in->n", amps, amps) - 1.0) <= NORMALIZATION_TOL)
+    bad = np.flatnonzero((amps < 0.0).any(axis=0) | off_norm)
+    if bad.size:
+        column = bad[0]
+        raise ValueError(
+            f"amplitude column {column} = {tuple(amps[:, column].tolist())} is not a "
+            f"non-negative column with unit sum of squares (tol {NORMALIZATION_TOL:.0e})"
+        )
+    values = _form_negativity(_half_period_forms(theta1), amps)
     return values[0] if squeeze else values
 
 
 def _half_period_forms(theta1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3x3 forms (B, C, F) of the half-period X-state coefficients: B and
-    C real symmetric, F complex symmetric.  Column i of ``m`` is the evolved
-    state that starts from the target state and the source |ii>."""
-    u = _half_period_evolution_matrix()
-    m = np.cos(theta1) * u[:, 0:9:4] + np.sin(theta1) * u[:, 27:36:4]
+    C real symmetric, F complex symmetric.  Column i of ``m`` is the state the
+    pair propagator on both legs makes from the target state and source |ii>."""
+    model = TransferModel.for_source_dim(3)
+    u = pair_propagator(model, QUTRIT_HALF_PERIOD).matrix.reshape(2, 3, 2, 3)
+    columns = np.einsum("asAi,brAi->Aabsri", u, u).reshape(2, 36, 3)
+    m = np.cos(theta1) * columns[0] + np.sin(theta1) * columns[1]
     blocks = m.reshape(4, 9, 3)
     b = (blocks[1].conj().T @ blocks[1]).real
     c = (blocks[2].conj().T @ blocks[2]).real
@@ -132,9 +140,9 @@ def _half_period_forms(theta1: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _form_negativity(forms: tuple[np.ndarray, ...], amps: np.ndarray) -> np.ndarray:
-    """X-state negativity of the (3, N) amplitude columns from the forms;
-    matches ``negativity_at_half_period`` to rounding, not to the bit.  One
-    real form at a time keeps every temporary at (3, N)."""
+    """Raw X-state negativity of the (3, N) amplitude columns from the
+    forms, unchecked.  One real form at a time keeps every temporary at
+    (3, N)."""
     b, c, f = forms
     b_k, c_k, f_re, f_im = (
         np.einsum("in,in->n", q @ amps, amps) for q in (b, c, f.real, f.imag)
@@ -205,16 +213,10 @@ def maximize_E12_half_period(
     lowest (k0^2, k1^2) lexicographically, and the best point ever seen is
     kept across refinement rounds.
 
-    Each round scores every grid point with the 3x3 quadratic forms, which
-    agree with ``negativity_at_half_period`` to about 1e-15.  Only the points
-    within ``DEFAULT_ALGEBRAIC_TOL`` of the round's best form score, and never
-    fewer than the best two, are re-scored with that kernel, and the
-    selection runs on the kernel values.  The band holds every point that
-    could be the kernel's maximum, so ``e_max``, the argmax and
-    ``evaluations`` (grid points scored) are bit for bit those of scoring the
-    whole grid with the kernel.  A lone column is not enough: numpy sends a
-    one-column product to gemv, whose last bit can differ from the batched
-    gemm that the whole grid used.
+    Each round scores every grid point with the 3x3 quadratic forms of
+    ``negativity_at_half_period`` (unchecked: the grid columns are
+    non-negative and normalized by construction), and ``evaluations``
+    counts the grid points scored.
     """
     if not np.isfinite(theta1):
         raise ValueError(f"theta1 must be finite, got {theta1!r}")
@@ -232,14 +234,10 @@ def maximize_E12_half_period(
         amps = _grid_amplitudes(alpha_axis, beta_axis)
         if round_index == 0:
             amps = np.hstack([amps, _SEED_AMPLITUDES])
-        scores = _form_negativity(forms, amps)
-        band = np.flatnonzero(scores >= scores.max() - DEFAULT_ALGEBRAIC_TOL)
-        if band.size < 2:
-            band = np.sort(np.argpartition(scores, -2)[-2:])
-        values = negativity_at_half_period(theta1, amps[:, band])
-        evaluations += scores.size
+        values = _form_negativity(forms, amps)
+        evaluations += values.size
         top = values.max()
-        candidates = band[values == top]
+        candidates = np.flatnonzero(values == top)
         keys = [(amps[0, i] ** 2, amps[1, i] ** 2) for i in candidates]
         pick = candidates[min(range(len(candidates)), key=keys.__getitem__)]
         key = (amps[0, pick] ** 2, amps[1, pick] ** 2)
@@ -271,8 +269,9 @@ def emax_is_nondecreasing(results: list[MaximizationResult]) -> bool:
     """Whether the maximized negativity is monotone along the given results,
     allowing a dip of ``POSITIVITY_TOL``, the resolution of a negativity.
 
-    Reported, not asserted: monotonicity is suggested by the curves but
-    nothing guarantees it.
+    Reported, not asserted: a grid maximum may dip where the exact maximum
+    does not.  ``tests/test_half_period_forms.py`` certifies that the exact
+    maximum is strictly increasing on [0, pi/4].
     """
     values = [r.e_max for r in results]
     return all(b >= a - POSITIVITY_TOL for a, b in zip(values, values[1:]))

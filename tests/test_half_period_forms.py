@@ -1,20 +1,20 @@
-"""The half-period quadratic forms: the search that ranks with them against a
-copy of the search that scored every grid point with the 36x36 kernel (and
-took cosines and sines at every grid point), the forms against the kernel
-and the density pipeline, and the exact maximum they certify."""
+"""The half-period quadratic forms: the public kernel and the search that
+score with them against a test-local copy of the 36x36 kernel they replaced
+(and of the search that took cosines and sines at every grid point), the
+forms against the density pipeline, and the exact maximum they certify."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_transfer.entanglement import XStateCoeffs
+from spin_transfer.entanglement import XStateCoeffs, xstate_negativity_raw
+from spin_transfer.model import TransferModel, full_evolution
 from spin_transfer.qutritmax import (
     _SEED_ANGLES,
     FIG3_THETA_GRID,
     InvariantPoint,
     SearchBudget,
-    _form_negativity,
     _grid_amplitudes,
     _SEED_AMPLITUDES,
     _half_period_forms,
@@ -32,6 +32,33 @@ SMALL_BUDGET = SearchBudget(coarse=30, refinements=2, shrink=5.0)
 FIG4_GRID = tuple(float(t) for t in np.linspace(0.0, np.pi / 4, 65))
 OFF_RANGE = (-3.0, -np.pi / 8, -0.05, 1.3, np.pi / 2, 3.0, 100.0)
 SWEEP = tuple(dict.fromkeys(FIG3_THETA_GRID + FIG4_GRID + OFF_RANGE))
+#: The default budget, SMALL_BUDGET, fig4's reference budget and a deep one.
+ORACLE_BUDGETS = (
+    SearchBudget(),
+    SMALL_BUDGET,
+    SearchBudget(coarse=24, refinements=2, shrink=5.0),
+    SearchBudget(coarse=7, refinements=4, shrink=3.0),
+)
+HALF_PERIOD_EVOLUTION = full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
+
+
+def oracle_negativity(theta1: float, amplitudes: np.ndarray) -> np.ndarray:
+    """The 36x36 kernel that the forms replaced, for (3, N) amplitude
+    columns: the four-particle ``full_evolution`` applied to the batch of
+    product states, then the X-state coefficients read off the evolved
+    blocks."""
+    amps = np.asarray(amplitudes, dtype=float)
+    tp = np.array([np.cos(theta1), 0.0, 0.0, np.sin(theta1)], dtype=complex)
+    n = amps.shape[1]
+    source = np.zeros((9, n), dtype=complex)
+    source[0], source[4], source[8] = amps[0], amps[1], amps[2]
+    psi0 = (tp[:, None, None] * source[None, :, :]).reshape(36, n)
+    psi = HALF_PERIOD_EVOLUTION @ psi0
+    blocks = psi.reshape(4, 9, n)
+    b = np.einsum("sn,sn->n", blocks[1], blocks[1].conj()).real
+    c = np.einsum("sn,sn->n", blocks[2], blocks[2].conj()).real
+    f = np.einsum("sn,sn->n", blocks[0], blocks[3].conj())
+    return xstate_negativity_raw(b, c, np.abs(f))
 
 
 def meshgrid_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -42,9 +69,9 @@ def meshgrid_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     )
 
 
-def full_batch_maximize(theta1: float, budget: SearchBudget):
-    """The search as it was before the forms: every grid point scored with
-    ``negativity_at_half_period`` in one batch, same selection rule."""
+def full_batch_maximize(theta1: float, budget: SearchBudget, score=negativity_at_half_period):
+    """The search as it was before the forms ranked it: every grid point
+    scored with ``score`` in one batch, same selection rule."""
     lo = np.array([0.0, 0.0])
     hi = np.array([np.pi / 2, np.pi / 2])
     best_value, best_key, best_amps, best_angles = -1.0, None, None, None
@@ -58,7 +85,7 @@ def full_batch_maximize(theta1: float, budget: SearchBudget):
             alpha = np.concatenate([alpha, seeds[:, 0]])
             beta = np.concatenate([beta, seeds[:, 1]])
         amps = meshgrid_amplitudes(alpha, beta)
-        values = negativity_at_half_period(theta1, amps)
+        values = score(theta1, amps)
         evaluations += values.size
         top = values.max()
         candidates = np.flatnonzero(values == top)
@@ -125,6 +152,18 @@ class TestFormRankingIsExact:
         assert_same_search(theta1, SearchBudget())
 
 
+class TestOracleSearch:
+    @pytest.mark.parametrize("theta1", FIG4_GRID)
+    def test_search_matches_the_oracle_search(self, theta1):
+        for budget in ORACLE_BUDGETS:
+            e_max, amps, evaluations = full_batch_maximize(theta1, budget, oracle_negativity)
+            result = maximize_E12_half_period(theta1, budget)
+            assert abs(result.e_max - e_max) <= 1e-14
+            assert f"{result.e_max:.12g}" == f"{e_max:.12g}"
+            assert np.abs(result.argmax_state.amplitudes() - amps).max() <= 1e-14
+            assert result.evaluations == evaluations
+
+
 class TestForms:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(
@@ -142,7 +181,7 @@ class TestForms:
         assert np.abs(b - c).max() <= 1e-14
         assert max(np.abs(q - q.T).max() for q in (b, c, f)) <= 1e-15
         kernel = negativity_at_half_period(theta1, amps)
-        assert np.abs(_form_negativity((b, c, f), amps) - kernel).max() <= 1e-14
+        assert np.abs(kernel - oracle_negativity(theta1, amps)).max() <= 1e-14
 
     @pytest.mark.parametrize("theta1", [0.0, 0.3, np.pi / 4, -1.1])
     def test_forms_match_the_density_pipeline_by_polarization(self, theta1):
@@ -166,25 +205,15 @@ class TestForms:
 def certificate(theta1: float) -> tuple[float, np.ndarray]:
     """Exact half-period maximum and its argmax amplitudes.
 
-    With b = c, E = 2|f| - 2b, and for real k, 2|k^T F k| is the maximum
-    over phi of k^T 2 Re(e^{i phi} F) k.  So E_max <= max over phi of the top
-    eigenvalue of 2 Re(e^{i phi} F) - 2B, and the bound is attained when the
-    top eigenvector lies in the positive orthant (up to sign).  The phase is
-    found on a dense grid, then refined by zooming in six times.
+    With b = c, E = 2|f| - 2b.  At the half period F is real, and for
+    theta1 in [0, pi/2] it has no negative entry, so f = k^T F k >= 0 on the
+    non-negative amplitudes and E = k^T (2F - 2B) k there.  Hence E_max is
+    at most the top eigenvalue of 2F - 2B, and equals it when the top
+    eigenvector lies in the positive orthant (up to sign).
     """
     b, _, f = _half_period_forms(theta1)
-
-    def top_eigenvalue(phi: np.ndarray) -> np.ndarray:
-        matrices = 2.0 * (np.exp(1j * phi)[:, None, None] * f).real - 2.0 * b
-        return np.linalg.eigvalsh(matrices)[:, -1]
-
-    phi = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    for _ in range(6):
-        best = int(np.argmax(top_eigenvalue(phi)))
-        step = phi[1] - phi[0]
-        phi = np.linspace(phi[best] - step, phi[best] + step, 41)
-    best = phi[int(np.argmax(top_eigenvalue(phi)))]
-    values, vectors = np.linalg.eigh(2.0 * (np.exp(1j * best) * f).real - 2.0 * b)
+    assert np.abs(f.imag).max() <= 1e-15
+    values, vectors = np.linalg.eigh(2.0 * f.real - 2.0 * b)
     top = vectors[:, -1]
     top = top * np.sign(top[np.argmax(np.abs(top))])
     return float(values[-1]), top

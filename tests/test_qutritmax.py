@@ -103,6 +103,19 @@ class TestHalfPeriodEvaluator:
         with pytest.raises(ValueError, match="leading dimension 3"):
             negativity_at_half_period(0.3, np.ones((2, 4)))
 
+    @pytest.mark.parametrize("column", [(1.0, 1.0, 1.0), (1.0, -1.0, 0.0)])
+    def test_rejects_unnormalized_or_signed_column(self, column):
+        amps = np.column_stack([STATE_A.amplitudes(), column])
+        with pytest.raises(ValueError, match=r"amplitude column 1 = \(1\.0, "):
+            negativity_at_half_period(0.3, amps)
+        with pytest.raises(ValueError, match="amplitude column 0"):
+            negativity_at_half_period(0.3, np.array(column))
+
+    @pytest.mark.parametrize("theta1", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_angle(self, theta1):
+        with pytest.raises(ValueError, match="theta1 must be finite"):
+            negativity_at_half_period(theta1, STATE_A.amplitudes())
+
 
 class TestMaximize:
     def test_maximally_entangled_target_reaches_unity_at_state_a(self):
