@@ -5,8 +5,9 @@ The lower layers stay importable from their own modules: ``kron`` and
 ``propagator`` from ``spin_transfer.qla``; ``TransferModel``,
 ``full_evolution``, ``pair_propagator``, ``closed_form_propagator``,
 ``heisenberg_pair`` and ``spin_operators`` from ``spin_transfer.model``;
-``initial_full_state`` and ``evolve_and_reduce`` (the target|source cut)
-from ``spin_transfer.transfer``.
+``initial_full_state``, ``evolve_and_reduce`` (the target|source cut) and
+``source_channel`` (that cut for a pure source, which the mixed-continuation
+staircase applies) from ``spin_transfer.transfer``.
 """
 
 from .entanglement import (

@@ -5,7 +5,10 @@ Two bookkeeping modes exist.  In pure-reset mode the target pair re-enters
 each round as the pure Schmidt state carrying the previously achieved
 negativity (the idealization behind the staircase construction).  In
 mixed-continuation mode the actual 4x4 target density operator is carried
-forward and re-coupled to a fresh source copy.
+forward and re-coupled to a fresh source copy.  Since the propagator and the
+pure source are the same every round, that round is one fixed channel on the
+target state (``transfer.source_channel``), built once per run and applied
+as a 16x16 matrix-vector product per step.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ import numpy as np
 
 from .entanglement import negativity, schmidt_angle_from_negativity
 from .model import full_evolution
-from .qla import Operator, kron
+from .qla import Operator
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     QubitPairState,
     QutritPairState,
-    evolve_and_reduce,
     evolve_reduced,
     model_for_source,
+    source_channel,
 )
 
 MODE_PURE_RESET = "pure-reset"
@@ -88,13 +91,12 @@ def iterate_transfer(
             e = e_after
         return records
 
-    u = full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD)
+    channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
     rho_tp = QubitPairState(schmidt_angle_from_negativity(e0)).density()
-    sp_density = sp.density()
     e = negativity(rho_tp).value
     for step in range(1, steps + 1):
         snapshot = rho_tp
-        rho_tp = evolve_and_reduce(u, kron(rho_tp, sp_density))
+        rho_tp = Operator((channel @ rho_tp.matrix.ravel()).reshape(4, 4), (2, 2))
         e_after = negativity(rho_tp).value
         records.append(IterationRecord(step, e, e_after, mode, snapshot))
         e = e_after

@@ -8,8 +8,9 @@ runs it on every call and is the oracle the tests compare against, while
 ``model.TransferModel`` runs it once per source dimension and keeps the
 result, so its pair propagator evaluates only ``spectral_exponential``.
 The two cuts the physics makes, target pair | source pair
-(``transfer.evolve_and_reduce``, and ``transfer.entanglement_curve`` for its
-stack of pure states) and target A | target B
+(``transfer.evolve_and_reduce``, with ``transfer.source_channel`` its form for
+a pure source and ``transfer.entanglement_curve`` for its stack of pure
+states) and target A | target B
 (``entanglement.negativities``), live next to the state layouts they depend
 on.  Dimensions stay tiny (at most 36).
 """

@@ -18,6 +18,7 @@ and the search both score with them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +125,24 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
     return values[0] if squeeze else values
 
 
+@functools.cache
+def _half_period_columns() -> np.ndarray:
+    """Read-only (2, 36, 3) tensor: entry [A, :, i] is the state the pair
+    propagator on both legs makes at the half period from target |AA> and
+    source |ii>.  It does not depend on the target angle, so it is built
+    once per process."""
+    model = TransferModel.for_source_dim(3)
+    u = pair_propagator(model, QUTRIT_HALF_PERIOD).matrix.reshape(2, 3, 2, 3)
+    columns = np.einsum("asAi,brAi->Aabsri", u, u).reshape(2, 36, 3)
+    columns.setflags(write=False)
+    return columns
+
+
 def _half_period_forms(theta1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3x3 forms (B, C, F) of the half-period X-state coefficients: B and
     C real symmetric, F complex symmetric.  Column i of ``m`` is the state the
     pair propagator on both legs makes from the target state and source |ii>."""
-    model = TransferModel.for_source_dim(3)
-    u = pair_propagator(model, QUTRIT_HALF_PERIOD).matrix.reshape(2, 3, 2, 3)
-    columns = np.einsum("asAi,brAi->Aabsri", u, u).reshape(2, 36, 3)
+    columns = _half_period_columns()
     m = np.cos(theta1) * columns[0] + np.sin(theta1) * columns[1]
     blocks = m.reshape(4, 9, 3)
     b = (blocks[1].conj().T @ blocks[1]).real

@@ -3,9 +3,12 @@
 Builds the initial product state, evolves the four particles, reduces to the
 target pair and scores its negativity.  ``evolve_and_reduce`` is the
 target|source cut of a density operator: it conjugates a (2, 2, d, d) state
-by the four-particle propagator and traces out the source pair.  The numeric
-pipeline (``evolve_reduced``) is authoritative: it is the route of ``fig2``,
-``verify`` and the staircase, and the oracle of ``entanglement_curve``.
+by the four-particle propagator and traces out the source pair.
+``source_channel`` is the same cut for a pure source, written as the 16x16
+matrix of the map it makes on the target state; the mixed-continuation
+staircase builds it once per run.  The numeric pipeline (``evolve_reduced``)
+is authoritative: it is the route of ``fig2``, ``verify`` and the pure-reset
+staircase, and the oracle of ``entanglement_curve``.
 The curve takes the spectral route instead: each pair propagator is
 exp(-i lambda_minus t) P_minus + exp(-i lambda_plus t) P_plus, so the evolved
 state is a three-term phase sum of fixed vectors and a whole time grid is
@@ -116,10 +119,6 @@ class QutritPairState:
         vec[0], vec[4], vec[8] = self.k0, self.k1, self.k2
         return vec
 
-    def density(self) -> Operator:
-        vec = self.state_vector()
-        return Operator(np.outer(vec, vec.conj()), (3, 3))
-
 
 #: Maximally entangled two-qutrit state.
 STATE_A = QutritPairState(np.sqrt(1 / 3), np.sqrt(1 / 3), np.sqrt(1 / 3))
@@ -177,6 +176,26 @@ def evolve_and_reduce(u: Operator, rho0: Operator) -> Operator:
         )
     rho_t = (u.matrix @ rho0.matrix @ u.matrix.conj().T).reshape(dims + dims)
     return Operator(np.einsum("abijABij->abAB", rho_t).reshape(4, 4), (2, 2))
+
+
+def source_channel(u: Operator, sp: SourceState) -> np.ndarray:
+    """The 16x16 matrix S of rho -> Tr_S[u (rho x |sp><sp|) u^dagger] on the
+    row-major vectorized 4x4 target state: the target|source cut of
+    ``evolve_and_reduce``, specialised to a pure source.
+
+    Its Kraus operators are V_s[ab, AB] = sum_j u[(ab, s), (AB, j)] sp_j,
+    one per source basis state s, and S[(x, w), (y, z)] =
+    sum_s V_s[x, y] conj(V_s[w, z]), so the state after the round is
+    ``(S @ rho.ravel()).reshape(4, 4)``.  Raises ValueError unless ``u``
+    acts on (2, 2, d, d) with d the dimension of ``sp``'s particles.
+    """
+    d = source_dim(sp)
+    if u.dims != (2, 2, d, d):
+        raise ValueError(
+            f"expected a propagator on (2, 2, {d}, {d}) for this source, got dims {u.dims}"
+        )
+    kraus = np.einsum("xsyj,j->sxy", u.matrix.reshape(4, d * d, 4, d * d), sp.state_vector())
+    return np.einsum("sxy,swz->xwyz", kraus, kraus.conj()).reshape(16, 16)
 
 
 def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:

@@ -37,7 +37,8 @@ class TestNegativity:
 
     def test_qutrit_pair_reporting_range(self):
         # for a d x d bipartition the raw value may exceed 1 (up to d - 1)
-        rho = QutritPairState(*(np.ones(3) / np.sqrt(3))).density()
+        vec = QutritPairState(*(np.ones(3) / np.sqrt(3))).state_vector()
+        rho = Operator(np.outer(vec, vec.conj()), (3, 3))
         value = negativity(rho)
         assert value.raw == pytest.approx(2.0, abs=1e-9)
 

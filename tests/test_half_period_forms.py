@@ -17,6 +17,7 @@ from spin_transfer.qutritmax import (
     SearchBudget,
     _grid_amplitudes,
     _SEED_AMPLITUDES,
+    _half_period_columns,
     _half_period_forms,
     maximize_E12_half_period,
     negativity_at_half_period,
@@ -238,3 +239,40 @@ class TestCertificate:
         bounds = np.array([certificate(t)[0] for t in thetas])
         assert np.all(np.diff(bounds) > 0.0)
         assert bounds[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def f1_literals(theta1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rational half-period forms (B, F) that the exact expansion of the
+    reduced state gives, with c = cos(theta1) and s = sin(theta1):
+    b = (8/81)[(c k1 - s k0)^2 + (c k2 - s k1)^2] and
+    f = (1/81)[72c^2 k0k1 + 8c^2 k1k2 + 9cs(k0^2 + k2^2) + cs k1^2
+    + 64cs k0k2 + 8s^2 k0k1 + 72s^2 k1k2]."""
+    c, s = np.cos(theta1), np.sin(theta1)
+    v, w = np.array([-s, c, 0.0]), np.array([0.0, -s, c])
+    b = 8.0 / 81.0 * (np.outer(v, v) + np.outer(w, w))
+    f = np.array(
+        [
+            [9 * c * s, 36 * c**2 + 4 * s**2, 32 * c * s],
+            [36 * c**2 + 4 * s**2, c * s, 4 * c**2 + 36 * s**2],
+            [32 * c * s, 4 * c**2 + 36 * s**2, 9 * c * s],
+        ]
+    ) / 81.0
+    return b, f
+
+
+class TestRationalForms:
+    @pytest.mark.parametrize("theta1", np.linspace(-3.0, 3.0, 121))
+    def test_forms_are_the_f1_rationals(self, theta1):
+        b, c, f = _half_period_forms(theta1)
+        want_b, want_f = f1_literals(theta1)
+        assert np.array_equal(c, b)
+        assert np.abs(f.imag).max() <= 1e-15
+        assert np.abs(b - want_b).max() <= 1e-15
+        assert np.abs(f - want_f).max() <= 1e-15
+
+
+def test_cached_columns_are_read_only():
+    columns = _half_period_columns()
+    assert columns is _half_period_columns()
+    with pytest.raises(ValueError, match="read-only"):
+        columns[0, 0, 0] = 0.0
