@@ -119,10 +119,10 @@ def parse_budget(text: Any) -> SearchBudget:
         coarse = int(parts[0])
         if coarse > COARSE_LIMIT:
             raise ConfigError(f"budget {text!r}: coarse must be at most {COARSE_LIMIT}")
-        refinements = int(parts[1]) if len(parts) > 1 else 3
+        refinements = int(parts[1]) if len(parts) > 1 else SearchBudget.refinements
         if refinements > REFINEMENTS_LIMIT:
             raise ConfigError(f"budget {text!r}: refinements must be at most {REFINEMENTS_LIMIT}")
-        shrink = float(parts[2]) if len(parts) > 2 else 5.0
+        shrink = float(parts[2]) if len(parts) > 2 else SearchBudget.shrink
         return SearchBudget(coarse, refinements, shrink)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"budget {text!r}, want coarse[:refinements[:shrink]]: {exc}") from exc

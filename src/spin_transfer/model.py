@@ -1,18 +1,17 @@
 """Spin operators, pairwise exchange Hamiltonians and their propagators.
 
 The interaction is the isotropic exchange coupling s1.s2 between one target
-qubit and one source particle (qubit or qutrit).  Two propagator routes
-exist: the eigendecomposition route (authoritative) and a closed-form matrix
-(regression check).  The pair Hamiltonian does not depend on time, so
-``TransferModel.for_source_dim`` runs the checked ``qla.hermitian_eigh`` once
-per source dimension and keeps its read-only eigenvalues and eigenvectors;
-``pair_propagator`` only evaluates the spectral exponential from them, which
-is bit for bit ``qla.propagator`` of the pair Hamiltonian.
-``full_evolution`` is the tensor product of the pair propagator on legs
-(0,2) and (1,3) of the (target, target, source, source) product space.
-The pair coupling has two eigenvalues, so each model also carries its two
-spectral projectors, from which ``transfer.entanglement_curve`` builds the
-propagator at every time of a grid.
+qubit and one source particle (qubit or qutrit).  ``TransferModel.for_source_dim``
+runs the checked ``qla.hermitian_eigh`` of the time-independent pair
+Hamiltonian once per source dimension, the only decomposition of it, and
+keeps the read-only result.  Two propagator routes exist: ``pair_propagator``
+evaluates the spectral exponential from it, bit for bit ``qla.propagator``
+(authoritative), and ``closed_form_propagator`` is written out entrywise
+(regression check).  ``full_evolution`` is the pair propagator on legs (0,2)
+and (1,3) of the (target, target, source, source) product space.  The two
+spectral projectors, grouped from the same eigenvectors and checked when
+they are built, give ``transfer.entanglement_curve`` the propagator at every
+time of a grid.
 """
 
 from __future__ import annotations
@@ -59,33 +58,25 @@ def heisenberg_pair(source_dim: int) -> Operator:
     return Operator(total, (2, source_dim))
 
 
-def spectral_projectors(h: Operator, eigenvalues: tuple[float, float]) -> tuple[Operator, Operator]:
-    """Projectors (P_minus, P_plus) of a Hamiltonian ``h`` with exactly the two
-    ``eigenvalues`` (lambda_minus, lambda_plus): P_plus = (h - lambda_minus)
-    / (lambda_plus - lambda_minus) and P_minus = (lambda_plus - h) / (same).
-
-    Raises ValueError unless P^2 = P for both, P_minus + P_plus = I and
-    h = lambda_minus P_minus + lambda_plus P_plus within
-    ``DEFAULT_ALGEBRAIC_TOL``.
+def spectral_projectors(
+    eigh: tuple[np.ndarray, np.ndarray], eigenvalues: tuple[float, float], dims: tuple[int, ...]
+) -> tuple[Operator, Operator]:
+    """Projectors (P_minus, P_plus) = V V^dagger over the columns of v whose
+    eigenvalue in ``eigh`` = (w, v) lies within ``DEFAULT_ALGEBRAIC_TOL`` of
+    lambda_minus and of lambda_plus, the two ``eigenvalues``.  Orthonormal
+    columns make P^2 = P, P_minus P_plus = 0 and P_minus + P_plus = I hold by
+    construction; a ValueError names the first eigenvalue near neither, so
+    h = lambda_minus P_minus + lambda_plus P_plus holds too.
     """
-    lo, hi = eigenvalues
-    eye = np.eye(h.dim)
-    p_minus = (hi * eye - h.matrix) / (hi - lo)
-    p_plus = (h.matrix - lo * eye) / (hi - lo)
-    defects = {
-        "P_minus^2 - P_minus": p_minus @ p_minus - p_minus,
-        "P_plus^2 - P_plus": p_plus @ p_plus - p_plus,
-        "P_minus + P_plus - I": p_minus + p_plus - eye,
-        "lambda_minus P_minus + lambda_plus P_plus - H": lo * p_minus + hi * p_plus - h.matrix,
-    }
-    for name, residual in defects.items():
-        defect = float(np.abs(residual).max())
-        if not defect <= DEFAULT_ALGEBRAIC_TOL:
-            raise ValueError(
-                f"eigenvalues {eigenvalues} do not split the Hamiltonian: max|{name}| = "
-                f"{defect:.3e} exceeds tol {DEFAULT_ALGEBRAIC_TOL:.1e}"
-            )
-    return Operator(p_minus, h.dims), Operator(p_plus, h.dims)
+    w, v = eigh
+    near = [np.abs(w - value) <= DEFAULT_ALGEBRAIC_TOL for value in eigenvalues]
+    stray = np.flatnonzero(~(near[0] | near[1]))
+    if stray.size:
+        raise ValueError(
+            f"eigenvalues {eigenvalues} do not split the Hamiltonian: eigenvalue "
+            f"{float(w[stray[0]])!r} is farther than tol {DEFAULT_ALGEBRAIC_TOL:.1e} from both"
+        )
+    return tuple(Operator(v[:, cols] @ v[:, cols].conj().T, dims) for cols in near)
 
 
 @dataclass(frozen=True)
@@ -99,9 +90,9 @@ class TransferModel:
     propagator is u(t) = exp(-i lambda_minus t) P_minus
     + exp(-i lambda_plus t) P_plus with the ``pair_projectors``.
 
-    ``pair_eigh`` is the numeric eigendecomposition (w, v) of the pair
-    Hamiltonian from ``qla.hermitian_eigh``, both arrays read-only; it is
-    what ``pair_propagator`` evaluates."""
+    ``pair_eigh`` is the read-only eigendecomposition (w, v) of the pair
+    Hamiltonian from ``qla.hermitian_eigh``; ``pair_propagator`` evaluates
+    it, and ``pair_projectors`` are grouped from it."""
 
     source_dim: int
     pair_hamiltonian: Operator
@@ -121,7 +112,7 @@ class TransferModel:
         eigh = hermitian_eigh(h)
         for array in eigh:
             array.setflags(write=False)
-        return cls(source_dim, h, eigenvalues, spectral_projectors(h, eigenvalues), eigh)
+        return cls(source_dim, h, eigenvalues, spectral_projectors(eigh, eigenvalues, h.dims), eigh)
 
 
 def closed_form_propagator(model: TransferModel, t: float) -> Operator:

@@ -6,7 +6,8 @@ entry for entry the product ``np.kron`` forms, without its generic set-up.
 ``hermitian_eigh`` is the one checked eigendecomposition: ``propagator``
 runs it on every call and is the oracle the tests compare against, while
 ``model.TransferModel`` runs it once per source dimension and keeps the
-result, so its pair propagator evaluates only ``spectral_exponential``.
+result, so its pair propagator evaluates only ``spectral_exponential`` and
+its spectral projectors are grouped from the same eigenvectors.
 The two cuts the physics makes, target pair | source pair
 (``transfer.evolve_and_reduce``, with ``transfer.source_channel`` its form for
 a pure source and ``transfer.entanglement_curve`` for its stack of pure

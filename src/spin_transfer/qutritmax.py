@@ -11,9 +11,9 @@ from a dense sweep of the simplex.
 At the half period the evolved four-particle state is linear in the source
 amplitudes k, so the target pair's X-state coefficients are quadratic forms
 b = k^T B k, c = k^T C k and f = k^T F k with 3x3 matrices that depend on the
-target angle alone (B == C up to rounding).  They are built from the pair
-propagator and are the only half-period route: ``negativity_at_half_period``
-and the search both score with them.
+target angle alone (B == C up to rounding).  They are built from columns of
+``model.full_evolution`` and are the only half-period route:
+``negativity_at_half_period`` and the search both score with them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import xstate_negativity_raw
-from .model import TransferModel, pair_propagator
+from .model import TransferModel, full_evolution
 from .qla import POSITIVITY_TOL
 from .transfer import (
     NORMALIZATION_TOL,
@@ -102,10 +102,10 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
 
     Raises ValueError for a non-finite ``theta1``, a leading dimension other
     than 3, and the first column that ``QutritPairState`` would refuse: a
-    negative entry, or a sum of squares off 1 by more than
+    non-real or negative entry, or a sum of squares off 1 by more than
     ``NORMALIZATION_TOL`` (NaN included).
     """
-    amps = np.asarray(amplitudes, dtype=float)
+    amps = np.asarray(amplitudes)
     squeeze = amps.ndim == 1
     if squeeze:
         amps = amps[:, None]
@@ -113,27 +113,28 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
         raise ValueError(f"amplitudes must have leading dimension 3, got {amps.shape}")
     if not np.isfinite(theta1):
         raise ValueError(f"theta1 must be finite, got {theta1!r}")
-    off_norm = ~(np.abs(np.einsum("in,in->n", amps, amps) - 1.0) <= NORMALIZATION_TOL)
-    bad = np.flatnonzero((amps < 0.0).any(axis=0) | off_norm)
+    real = np.asarray(amps.real, dtype=float)
+    off_norm = ~(np.abs(np.einsum("in,in->n", real, real) - 1.0) <= NORMALIZATION_TOL)
+    bad = np.flatnonzero(((real < 0.0) | (amps.imag != 0.0)).any(axis=0) | off_norm)
     if bad.size:
         column = bad[0]
         raise ValueError(
-            f"amplitude column {column} = {tuple(amps[:, column].tolist())} is not a "
+            f"amplitude column {column} = {tuple(amps[:, column].tolist())} is not a real "
             f"non-negative column with unit sum of squares (tol {NORMALIZATION_TOL:.0e})"
         )
-    values = _form_negativity(_half_period_forms(theta1), amps)
+    values = _form_negativity(_half_period_forms(theta1), real)
     return values[0] if squeeze else values
 
 
 @functools.cache
 def _half_period_columns() -> np.ndarray:
-    """Read-only (2, 36, 3) tensor: entry [A, :, i] is the state the pair
-    propagator on both legs makes at the half period from target |AA> and
-    source |ii>.  It does not depend on the target angle, so it is built
-    once per process."""
-    model = TransferModel.for_source_dim(3)
-    u = pair_propagator(model, QUTRIT_HALF_PERIOD).matrix.reshape(2, 3, 2, 3)
-    columns = np.einsum("asAi,brAi->Aabsri", u, u).reshape(2, 36, 3)
+    """Read-only (2, 36, 3) tensor: entry [A, :, i] is the |AA>|ii> column
+    of ``full_evolution`` at the half period, the state it makes from target
+    |AA> and source |ii>.  It does not depend on the target angle, so it is
+    built once per process."""
+    full = full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
+    legs = full.reshape(36, 2, 2, 3, 3)
+    columns = np.stack([legs[:, a, a].diagonal(axis1=1, axis2=2) for a in (0, 1)])
     columns.setflags(write=False)
     return columns
 

@@ -326,10 +326,16 @@ def entanglement_curve(
     ``negativity(evolve_reduced(tp, sp, t))``, the oracle, to about 1e-13
     for |t| <= 1e3; both routes carry about |t| * eps of phase rounding.
 
-    Raises ValueError naming the first time with a phase j * Delta * t that
-    is not finite (NaN, +-inf, or an overflow), before any evolution.
+    Raises ValueError naming the first time with a non-zero imaginary part,
+    then the first with a phase j * Delta * t that is not finite (NaN,
+    +-inf, or an overflow), before any evolution.
     """
-    times = np.asarray(t_grid, dtype=float)
+    times = np.asarray(t_grid)
+    imaginary = np.flatnonzero(times.imag.ravel() != 0.0)
+    if imaginary.size:
+        index = imaginary[0]
+        raise ValueError(f"time {complex(times.flat[index])!r} at index {index} is not real")
+    times = np.asarray(times.real, dtype=float)
     lo, hi = model_for_source(sp).pair_eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.multiply.outer(times.ravel(), -(hi - lo) * np.arange(3))

@@ -12,6 +12,7 @@ from spin_transfer.cli import (
     parse_budget,
     parse_source_state,
 )
+from spin_transfer.qutritmax import SearchBudget
 from spin_transfer.transfer import STATE_A, STATE_B
 
 
@@ -59,6 +60,8 @@ class TestParsers:
         b = parse_budget("40:2:4")
         assert (b.coarse, b.refinements, b.shrink) == (40, 2, 4.0)
         assert parse_budget("25").coarse == 25
+        assert parse_budget("60") == SearchBudget()
+        assert parse_budget("7") == SearchBudget(coarse=7)
         with pytest.raises(ConfigError):
             parse_budget("fast")
 

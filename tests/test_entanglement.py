@@ -125,6 +125,20 @@ class TestNegativityStack:
         assert np.signbit(clamped[0]) and not np.signbit(clamped[1])
         assert [min(max(r, 0.0), 1.0) for r in raw] == list(clamped)
 
+    @pytest.mark.parametrize("upper", [1.0, 2.0])
+    def test_clamp_and_from_raw_are_one_rule(self, upper):
+        # from_raw is the scalar form: the same clamp, sign of zero and message
+        for raw in [-0.0, 0.0, -5e-10, 0.3, upper, upper + 5e-10]:
+            clamped = clamp_negativity(np.array([raw]), upper)[0]
+            value = NegativityValue.from_raw(raw, upper).value
+            assert value == clamped and np.signbit(value) == np.signbit(clamped)
+        for raw in [-2e-9, upper + 2e-9, np.inf, -np.inf, np.nan]:
+            with pytest.raises(ValueError) as array_error:
+                clamp_negativity(np.array([raw]), upper)
+            with pytest.raises(ValueError) as scalar_error:
+                NegativityValue.from_raw(raw, upper)
+            assert str(scalar_error.value) == str(array_error.value)
+
 
 class TestNegativityValue:
     def test_small_negative_raw_is_clamped(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_transfer.entanglement import XStateCoeffs, xstate_negativity_raw
-from spin_transfer.model import TransferModel, full_evolution
+from spin_transfer.model import TransferModel, full_evolution, pair_propagator
 from spin_transfer.qutritmax import (
     _SEED_ANGLES,
     FIG3_THETA_GRID,
@@ -276,3 +276,13 @@ def test_cached_columns_are_read_only():
     assert columns is _half_period_columns()
     with pytest.raises(ValueError, match="read-only"):
         columns[0, 0, 0] = 0.0
+
+
+def test_cached_columns_are_the_pair_leg_contraction():
+    """The columns read off ``full_evolution`` are, bit for bit, the direct
+    contraction of the pair propagator on both legs from target |AA> and
+    source |ii>."""
+    u = pair_propagator(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
+    u = u.reshape(2, 3, 2, 3)
+    contraction = np.einsum("asAi,brAi->Aabsri", u, u).reshape(2, 36, 3)
+    assert np.array_equal(_half_period_columns(), contraction)

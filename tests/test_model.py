@@ -155,10 +155,30 @@ class TestSpectralProjectors:
             assert max_abs(u, pair_propagator(model, t).matrix) < 1e-13
 
     @pytest.mark.parametrize("source_dim", [2, 3])
+    def test_projectors_match_the_hamiltonian_algebra(self, source_dim):
+        # P_plus = (H - lambda_minus) / Delta and P_minus = (lambda_plus - H) / Delta
+        model = TransferModel.for_source_dim(source_dim)
+        (lo, hi), (p_minus, p_plus) = model.pair_eigenvalues, model.pair_projectors
+        h, eye = model.pair_hamiltonian.matrix, np.eye(2 * source_dim)
+        assert max_abs(p_plus.matrix, (h - lo * eye) / (hi - lo)) < 1e-15
+        assert max_abs(p_minus.matrix, (hi * eye - h) / (hi - lo)) < 1e-15
+
+    @pytest.mark.parametrize("source_dim", [2, 3])
     def test_wrong_eigenvalues_are_refused(self, source_dim):
+        model = TransferModel.for_source_dim(source_dim)
         other = TransferModel.for_source_dim(5 - source_dim).pair_eigenvalues
         with pytest.raises(ValueError, match="do not split the Hamiltonian"):
-            spectral_projectors(heisenberg_pair(source_dim), other)
+            spectral_projectors(model.pair_eigh, other, model.pair_hamiltonian.dims)
+
+    @pytest.mark.parametrize("source_dim", [2, 3])
+    def test_eigenvalue_between_the_two_is_refused(self, source_dim):
+        model = TransferModel.for_source_dim(source_dim)
+        lo, hi = model.pair_eigenvalues
+        w, v = model.pair_eigh
+        perturbed = w.copy()
+        perturbed[source_dim] = (lo + hi) / 2
+        with pytest.raises(ValueError, match=f"eigenvalue {(lo + hi) / 2!r} is farther than tol"):
+            spectral_projectors((perturbed, v), model.pair_eigenvalues, model.pair_hamiltonian.dims)
 
 
 class TestCachedEigendecomposition:

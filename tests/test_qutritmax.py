@@ -111,6 +111,22 @@ class TestHalfPeriodEvaluator:
         with pytest.raises(ValueError, match="amplitude column 0"):
             negativity_at_half_period(0.3, np.array(column))
 
+    def test_rejects_complex_column(self):
+        # sum |k|^2 = 1.25; the cast to float would score (0.6, 0.8, 0)
+        column = np.array([0.6, 0.8, 0.5j])
+        amps = np.column_stack([STATE_A.amplitudes(), column])
+        with pytest.raises(ValueError, match=r"column 1 = \(\(0\.6\+0j\), .* is not a real"):
+            negativity_at_half_period(0.3, amps)
+        with pytest.raises(ValueError, match="amplitude column 0 = .* is not a real"):
+            negativity_at_half_period(0.3, column)
+
+    def test_complex_dtype_with_zero_imaginary_part_is_scored(self):
+        amps = np.column_stack([STATE_A.amplitudes(), STATE_B.amplitudes()])
+        assert np.array_equal(
+            negativity_at_half_period(0.3, amps.astype(complex)),
+            negativity_at_half_period(0.3, amps),
+        )
+
     @pytest.mark.parametrize("theta1", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_angle(self, theta1):
         with pytest.raises(ValueError, match="theta1 must be finite"):

@@ -336,6 +336,20 @@ class TestEntanglementCurve:
         with pytest.raises(ValueError, match=f"time {bad!r} at index 2 has a non-finite phase"):
             entanglement_curve(QubitPairState(0.3), sp, grid)
 
+    @pytest.mark.parametrize("sp", [QubitPairState(np.pi / 4), STATE_A], ids=["qubit", "qutrit"])
+    def test_complex_time_is_named(self, sp):
+        # the cast to float would score t = 1.0
+        with pytest.raises(ValueError, match=r"time \(1\+2j\) at index 1 is not real"):
+            entanglement_curve(QubitPairState(0.3), sp, np.array([0, 1 + 2j]))
+
+    def test_complex_dtype_with_zero_imaginary_part_is_scored(self):
+        grid = np.linspace(0.0, 2.0, 5)
+        tp = QubitPairState(0.3)
+        trace = entanglement_curve(tp, STATE_A, grid.astype(complex))
+        assert trace.times.dtype == float
+        want = entanglement_curve(tp, STATE_A, grid).negativities
+        assert np.array_equal(trace.negativities, want)
+
     def test_phase_overflow_is_named(self):
         # 2 * (3/2) * 1e308 overflows for a qutrit source
         with pytest.raises(ValueError, match="time 1e[+]308 at index 0 has a non-finite phase"):

@@ -14,8 +14,9 @@ checkouts produce byte-identical outputs exactly when their listings match:
     python tools/reference_outputs.py /tmp/b > b.txt   # in the other
     diff a.txt b.txt
 
-It exits 1 if an invocation fails or OUTDIR already holds files, and 2
-without exactly one argument.
+It exits 1 if an invocation fails, writes anything to standard error (a
+warning, say), or OUTDIR already holds files, and 2 without exactly one
+argument.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ def run_all(outdir: Path) -> None:
         command = f"spin-transfer {' '.join(argv)}"
         if done.returncode != 0:
             sys.exit(f"{name}: {command} exited {done.returncode}\n{done.stderr}")
+        if done.stderr:
+            sys.exit(f"{name}: {command} wrote to standard error\n{done.stderr}")
         log.append(f"$ {command}\n{done.stdout}")
     (outdir / "stdout.txt").write_text("".join(log), encoding="utf-8")
 
