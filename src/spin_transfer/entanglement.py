@@ -2,11 +2,12 @@
 
 The generic route (eigenvalues of the partial transpose) is written once, for
 a stack of states: ``negativities`` scores a whole time grid of
-``transfer.entanglement_curve`` in one call, and ``negativity``, its
-one-state case, scores every staircase step and ``fig2`` row.  The
-vectorized X-state formula serves the half-period quadratic forms, which
-score both ``qutritmax.negativity_at_half_period`` and the half-period
-search.
+``transfer.entanglement_curve`` and every state of a mixed-continuation
+staircase in one call each, and ``negativity``, its one-state case, scores
+every pure-reset step and ``fig2`` row.  A state scores the same bits in a
+stack of any length as alone.  The vectorized X-state formula serves the
+half-period quadratic forms, which score both
+``qutritmax.negativity_at_half_period`` and the half-period search.
 """
 
 from __future__ import annotations

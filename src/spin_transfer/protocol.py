@@ -8,7 +8,10 @@ mixed-continuation mode the actual 4x4 target density operator is carried
 forward and re-coupled to a fresh source copy.  Since the propagator and the
 pure source are the same every round, that round is one fixed channel on the
 target state (``transfer.source_channel``), built once per run and applied
-as a 16x16 matrix-vector product per step.
+as a 16x16 matrix-vector product per step.  No state of that chain depends
+on a score, so the run scores the initial state and every carried state in
+one ``entanglement.negativities`` call after the chain.  A pure-reset round
+starts from the previous round's score and is scored as it runs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from typing import Union
 
 import numpy as np
 
-from .entanglement import negativity, schmidt_angle_from_negativity
+from .entanglement import (
+    clamp_negativity,
+    negativities,
+    negativity,
+    schmidt_angle_from_negativity,
+)
 from .model import full_evolution
 from .qla import Operator
 from .transfer import (
@@ -69,7 +77,16 @@ def iterate_transfer(
 ) -> list[IterationRecord]:
     """Run ``steps`` rounds of half-period coupling to fresh copies of ``sp``
     starting from target negativity ``e0``.  The half period is that of a
-    qutrit source, so ``sp`` must be a ``QutritPairState``."""
+    qutrit source, so ``sp`` must be a ``QutritPairState``.
+
+    In mixed-continuation mode the ``steps + 1`` states (the initial Schmidt
+    density, then the state after each step) are scored as one stack after
+    the whole chain has run, so a carried state that is not a density
+    operator raises the ValueError of ``negativities``, which names a state
+    by its position in the stack: state 0 is the initial state and state i
+    the state after step i.  As there, the state named is the first one that
+    fails the first failing check (Hermiticity, trace, then eigenvalues),
+    which need not be the earliest bad state."""
     if not isinstance(sp, QutritPairState):
         raise ValueError(
             f"iterate_transfer couples for the qutrit half period and needs a"
@@ -80,8 +97,8 @@ def iterate_transfer(
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     mode = canonical_mode(mode)
-    records: list[IterationRecord] = []
     if mode == MODE_PURE_RESET:
+        records: list[IterationRecord] = []
         e = float(e0)
         for step in range(1, steps + 1):
             theta = schmidt_angle_from_negativity(e)
@@ -92,15 +109,15 @@ def iterate_transfer(
         return records
 
     channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
-    rho_tp = QubitPairState(schmidt_angle_from_negativity(e0)).density()
-    e = negativity(rho_tp).value
-    for step in range(1, steps + 1):
-        snapshot = rho_tp
-        rho_tp = Operator((channel @ rho_tp.matrix.ravel()).reshape(4, 4), (2, 2))
-        e_after = negativity(rho_tp).value
-        records.append(IterationRecord(step, e, e_after, mode, snapshot))
-        e = e_after
-    return records
+    states = [QubitPairState(schmidt_angle_from_negativity(e0)).density()]
+    for _ in range(steps):
+        rho = (channel @ states[-1].matrix.ravel()).reshape(4, 4)
+        states.append(Operator(rho, (2, 2)))
+    scores = clamp_negativity(negativities(np.stack([s.matrix for s in states]), (2, 2))).tolist()
+    return [
+        IterationRecord(step, scores[step - 1], scores[step], mode, states[step - 1])
+        for step in range(1, steps + 1)
+    ]
 
 
 def snapshot_purity(record: IterationRecord) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spin_transfer.entanglement import (
     NegativityValue,
@@ -95,6 +95,23 @@ class TestNegativityStack:
         raws = negativities(states, dims)
         singles = [negativity(Operator(m, dims)).raw for m in states]
         assert raws.tobytes() == np.array(singles).tobytes()
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_batch_invariance(self, dims, n, seed):
+        # each state scores the same bits in a stack as alone, whatever the
+        # stack's length, the state's rank and its position
+        rng = np.random.default_rng(seed)
+        d = dims[0] * dims[1]
+        states = []
+        for _ in range(n):
+            rank = rng.integers(1, d + 1)
+            g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            m = g @ g.conj().T
+            states.append(m / np.trace(m))
+        stacked = negativities(np.array(states), dims)
+        alone = [negativities(m[None], dims)[0] for m in states]
+        assert stacked.tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize(
         "index,defect,message",

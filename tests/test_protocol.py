@@ -71,10 +71,17 @@ class TestMixedContinuation:
 
     def test_each_state_is_scored_once(self, monkeypatch):
         scored = []
-        original = protocol.negativity
-        monkeypatch.setattr(protocol, "negativity", lambda rho: scored.append(rho) or original(rho))
+        original = protocol.negativities
+
+        def spy(states, dims):
+            scored.append(states)
+            return original(states, dims)
+
+        monkeypatch.setattr(protocol, "negativities", spy)
+        monkeypatch.setattr(protocol, "negativity", lambda rho: scored.append([rho]))
         records = iterate_transfer(0.3, STATE_B, 4, MODE_MIXED)
-        assert len(scored) == 5  # the initial state, then one per step
+        # one stacked call: the initial state, then one per step
+        assert [len(states) for states in scored] == [5]
         assert records[0].negativity_before == pytest.approx(0.3, abs=1e-12)
         for first, second in zip(records, records[1:]):
             assert second.negativity_before == first.negativity_after

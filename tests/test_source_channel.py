@@ -7,7 +7,12 @@ import pytest
 import spin_transfer.protocol as protocol
 from spin_transfer.entanglement import negativity, schmidt_angle_from_negativity
 from spin_transfer.model import TransferModel, full_evolution
-from spin_transfer.protocol import MODE_MIXED, iterate_transfer, snapshot_purity
+from spin_transfer.protocol import (
+    MODE_MIXED,
+    IterationRecord,
+    iterate_transfer,
+    snapshot_purity,
+)
 from spin_transfer.qla import Operator, kron
 from spin_transfer.transfer import (
     QUTRIT_HALF_PERIOD,
@@ -64,6 +69,36 @@ def oracle_iterate_mixed(e0: float, sp: QutritPairState, steps: int) -> list[tup
     return rows
 
 
+def per_step_iterate_mixed(e0: float, sp: QutritPairState, steps: int) -> list[IterationRecord]:
+    """The channel loop that scored each state with its own ``negativity``
+    call as soon as the step made it, before the run scored its states as
+    one stack."""
+    channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
+    rho_tp = QubitPairState(schmidt_angle_from_negativity(e0)).density()
+    e = negativity(rho_tp).value
+    records = []
+    for step in range(1, steps + 1):
+        snapshot = rho_tp
+        rho_tp = Operator((channel @ rho_tp.matrix.ravel()).reshape(4, 4), (2, 2))
+        e_after = negativity(rho_tp).value
+        records.append(IterationRecord(step, e, e_after, MODE_MIXED, snapshot))
+        e = e_after
+    return records
+
+
+def assert_bit_identical(records: list[IterationRecord], oracle: list[IterationRecord]) -> None:
+    for rec, want in zip(records, oracle, strict=True):
+        assert (rec.step, rec.mode) == (want.step, want.mode)
+        scores = [rec.negativity_before, rec.negativity_after]
+        wanted = [want.negativity_before, want.negativity_after]
+        assert scores == wanted
+        # == takes np.float64 for float and -0.0 for 0.0; the files written
+        # from the records would not
+        assert [type(x) for x in scores] == [type(x) for x in wanted] == [float, float]
+        assert list(np.signbit(scores)) == list(np.signbit(wanted))
+        assert np.array_equal(rec.tp_state_snapshot.matrix, want.tp_state_snapshot.matrix)
+
+
 class TestSourceChannel:
     @pytest.mark.parametrize("sp", SOURCES)
     def test_matches_the_four_particle_conjugation(self, sp, rng):
@@ -118,6 +153,25 @@ class TestMixedStaircase:
         purity = np.array([snapshot_purity(r) for r in records])
         assert max_abs(after, [row[1] for row in oracle]) <= 1e-13
         assert max_abs(purity, [row[2] for row in oracle]) <= 1e-13
+
+    @pytest.mark.parametrize("sp", SOURCES)
+    @pytest.mark.parametrize("e0", [0.0, 0.2, 0.73, 1.0])
+    def test_stacked_scores_equal_the_per_step_scores(self, e0, sp):
+        assert_bit_identical(
+            iterate_transfer(e0, sp, 12, MODE_MIXED), per_step_iterate_mixed(e0, sp, 12)
+        )
+
+    def test_stacked_scores_equal_the_per_step_scores_over_a_long_run(self):
+        assert_bit_identical(
+            iterate_transfer(0.1, STATE_B, 2000, MODE_MIXED),
+            per_step_iterate_mixed(0.1, STATE_B, 2000),
+        )
+
+    def test_a_bad_carried_state_is_named_by_its_position(self, monkeypatch):
+        original = protocol.source_channel
+        monkeypatch.setattr(protocol, "source_channel", lambda u, sp: 1.01 * original(u, sp))
+        with pytest.raises(ValueError, match=r"state 1: trace defect"):
+            iterate_transfer(0.3, STATE_B, 4, MODE_MIXED)
 
     def test_one_full_evolution_per_run(self, monkeypatch):
         calls = []
