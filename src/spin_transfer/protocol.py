@@ -28,7 +28,7 @@ from .entanglement import (
     schmidt_angle_from_negativity,
 )
 from .model import full_evolution
-from .qla import Operator
+from .qla import POSITIVITY_TOL, Operator
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     QubitPairState,
@@ -79,9 +79,15 @@ def iterate_transfer(
     starting from target negativity ``e0``.  The half period is that of a
     qutrit source, so ``sp`` must be a ``QutritPairState``.
 
-    In mixed-continuation mode the ``steps + 1`` states (the initial Schmidt
-    density, then the state after each step) are scored as one stack after
-    the whole chain has run, so a carried state that is not a density
+    Both modes collect the ``steps + 1`` scores and the snapshots entering
+    each round, and one comprehension makes the records from them.
+
+    In mixed-continuation mode the source channel is checked where it is
+    built: unless its rows (x, x) sum to vec(I) within ``POSITIVITY_TOL``
+    (it preserves the trace), ValueError is raised before any step.  The
+    ``steps + 1`` states (the initial Schmidt density, then the state after
+    each step) are scored as one stack after the whole chain has run, so a
+    carried state that is not a density
     operator raises the ValueError of ``negativities``, which names a state
     by its position in the stack: state 0 is the initial state and state i
     the state after step i.  As there, the state named is the first one that
@@ -98,24 +104,29 @@ def iterate_transfer(
         raise ValueError(f"need at least one step, got {steps}")
     mode = canonical_mode(mode)
     if mode == MODE_PURE_RESET:
-        records: list[IterationRecord] = []
-        e = float(e0)
-        for step in range(1, steps + 1):
-            theta = schmidt_angle_from_negativity(e)
-            rho = evolve_reduced(QubitPairState(theta), sp, QUTRIT_HALF_PERIOD)
-            e_after = negativity(rho).value
-            records.append(IterationRecord(step, e, e_after, mode, theta))
-            e = e_after
-        return records
-
-    channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
-    states = [QubitPairState(schmidt_angle_from_negativity(e0)).density()]
-    for _ in range(steps):
-        rho = (channel @ states[-1].matrix.ravel()).reshape(4, 4)
-        states.append(Operator(rho, (2, 2)))
-    scores = clamp_negativity(negativities(np.stack([s.matrix for s in states]), (2, 2))).tolist()
+        scores, snapshots = [float(e0)], []
+        for _ in range(steps):
+            snapshots.append(schmidt_angle_from_negativity(scores[-1]))
+            rho = evolve_reduced(QubitPairState(snapshots[-1]), sp, QUTRIT_HALF_PERIOD)
+            scores.append(negativity(rho).value)
+    else:
+        channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
+        # trace preservation: vec(I) S = vec(I), the rows (x, x) of S sum to vec(I)
+        vec_identity = np.eye(4).ravel()
+        defect = float(np.abs(vec_identity @ channel - vec_identity).max())
+        if not defect <= POSITIVITY_TOL:  # NaN fails too
+            raise ValueError(
+                f"source channel does not preserve the trace: defect {defect:.3e}"
+                f" exceeds tol {POSITIVITY_TOL:.1e}"
+            )
+        snapshots = [QubitPairState(schmidt_angle_from_negativity(e0)).density()]
+        for _ in range(steps):
+            rho = (channel @ snapshots[-1].matrix.ravel()).reshape(4, 4)
+            snapshots.append(Operator(rho, (2, 2)))
+        stack = np.stack([s.matrix for s in snapshots])
+        scores = clamp_negativity(negativities(stack, (2, 2))).tolist()
     return [
-        IterationRecord(step, scores[step - 1], scores[step], mode, states[step - 1])
+        IterationRecord(step, scores[step - 1], scores[step], mode, snapshots[step - 1])
         for step in range(1, steps + 1)
     ]
 

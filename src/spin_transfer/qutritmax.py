@@ -33,6 +33,7 @@ from .transfer import (
     STATE_B,
     STATE_C,
     QutritPairState,
+    _real_angle,
 )
 
 I1_MIN = 1.0 / 3.0
@@ -100,10 +101,10 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
     per source state; returns a scalar array or a length-N vector of raw
     X-state negativities, scored with the 3x3 forms of ``_half_period_forms``.
 
-    Raises ValueError for a non-finite ``theta1``, a leading dimension other
-    than 3, and the first column that ``QutritPairState`` would refuse: a
-    non-real or negative entry, or a sum of squares off 1 by more than
-    ``NORMALIZATION_TOL`` (NaN included).
+    Raises ValueError for a leading dimension other than 3, then for a
+    ``theta1`` that ``_half_period_forms`` refuses, then for the first column
+    that ``QutritPairState`` would refuse: a non-real or negative entry, or a
+    sum of squares off 1 by more than ``NORMALIZATION_TOL`` (NaN included).
     """
     amps = np.asarray(amplitudes)
     squeeze = amps.ndim == 1
@@ -111,8 +112,7 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
         amps = amps[:, None]
     if amps.shape[0] != 3:
         raise ValueError(f"amplitudes must have leading dimension 3, got {amps.shape}")
-    if not np.isfinite(theta1):
-        raise ValueError(f"theta1 must be finite, got {theta1!r}")
+    forms = _half_period_forms(theta1)
     real = np.asarray(amps.real, dtype=float)
     off_norm = ~(np.abs(np.einsum("in,in->n", real, real) - 1.0) <= NORMALIZATION_TOL)
     bad = np.flatnonzero(((real < 0.0) | (amps.imag != 0.0)).any(axis=0) | off_norm)
@@ -122,7 +122,7 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarr
             f"amplitude column {column} = {tuple(amps[:, column].tolist())} is not a real "
             f"non-negative column with unit sum of squares (tol {NORMALIZATION_TOL:.0e})"
         )
-    values = _form_negativity(_half_period_forms(theta1), real)
+    values = _form_negativity(forms, real)
     return values[0] if squeeze else values
 
 
@@ -142,7 +142,12 @@ def _half_period_columns() -> np.ndarray:
 def _half_period_forms(theta1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 3x3 forms (B, C, F) of the half-period X-state coefficients: B and
     C real symmetric, F complex symmetric.  Column i of ``m`` is the state the
-    pair propagator on both legs makes from the target state and source |ii>."""
+    pair propagator on both legs makes from the target state and source |ii>.
+
+    The one check of the target angle on the half-period route: ``theta1``
+    must be finite and real (a complex number with zero imaginary part is
+    taken as its real part), else ValueError."""
+    theta1 = _real_angle("theta1", theta1)
     columns = _half_period_columns()
     m = np.cos(theta1) * columns[0] + np.sin(theta1) * columns[1]
     blocks = m.reshape(4, 9, 3)
@@ -220,27 +225,25 @@ def maximize_E12_half_period(
     """Maximize the half-period target-pair negativity over all Schmidt-form
     qutrit source states, for a fixed target angle.
 
-    The amplitude simplex is parameterized by two angles on [0, pi/2]^2; the
-    distinguished states A, B, C are always evaluated as extra candidates, so
-    the result dominates each of them.  Deterministic: ties resolve to the
-    lowest (k0^2, k1^2) lexicographically, and the best point ever seen is
-    kept across refinement rounds.
+    The amplitude simplex is parameterized by two angles on [0, pi/2]^2.
+    Round 0 scores the grid and the distinguished states A, B, C as one
+    batch (a winning seed is located by its seed angles), so the result
+    dominates each of them; each later round re-grids a window around the
+    best point so far.  One rank, (value, -k0^2, -k1^2), picks the best
+    column of a round (the first of highest rank) and decides whether it
+    replaces the best so far (only if its rank is strictly higher), so ties
+    resolve to the lowest (k0^2, k1^2) lexicographically.
 
     Each round scores every grid point with the 3x3 quadratic forms of
     ``negativity_at_half_period`` (unchecked: the grid columns are
     non-negative and normalized by construction), and ``evaluations``
     counts the grid points scored.
     """
-    if not np.isfinite(theta1):
-        raise ValueError(f"theta1 must be finite, got {theta1!r}")
+    forms = _half_period_forms(theta1)
     lo = np.array([0.0, 0.0])
     hi = np.array([np.pi / 2, np.pi / 2])
-    best_value = -1.0
-    best_key: tuple[float, float] | None = None
-    best_amps: np.ndarray | None = None
-    best_angles: np.ndarray | None = None
+    best_rank: tuple[float, ...] = (-np.inf,)
     evaluations = 0
-    forms = _half_period_forms(theta1)
     for round_index in range(budget.refinements + 1):
         alpha_axis = np.linspace(lo[0], hi[0], budget.coarse)
         beta_axis = np.linspace(lo[1], hi[1], budget.coarse)
@@ -249,15 +252,12 @@ def maximize_E12_half_period(
             amps = np.hstack([amps, _SEED_AMPLITUDES])
         values = _form_negativity(forms, amps)
         evaluations += values.size
-        top = values.max()
-        candidates = np.flatnonzero(values == top)
-        keys = [(amps[0, i] ** 2, amps[1, i] ** 2) for i in candidates]
-        pick = candidates[min(range(len(candidates)), key=keys.__getitem__)]
-        key = (amps[0, pick] ** 2, amps[1, pick] ** 2)
-        if top > best_value or (top == best_value and (best_key is None or key < best_key)):
-            best_value = float(top)
-            best_key = key
-            best_amps = amps[:, pick].copy()
+        top = np.flatnonzero(values == values.max())
+        ranks = [(float(values[i]), -amps[0, i] ** 2, -amps[1, i] ** 2) for i in top]
+        rank = max(ranks)
+        if rank > best_rank:
+            pick = top[ranks.index(rank)]
+            best_rank, best_amps = rank, amps[:, pick].copy()
             row, col = divmod(pick, budget.coarse)
             best_angles = np.array(
                 [alpha_axis[row], beta_axis[col]]
@@ -269,8 +269,8 @@ def maximize_E12_half_period(
         hi = np.clip(best_angles + window / 2, 0.0, np.pi / 2)
     state = QutritPairState(*best_amps)
     return MaximizationResult(
-        theta1=float(theta1),
-        e_max=best_value,
+        theta1=float(np.real(theta1)),
+        e_max=best_rank[0],
         argmax_state=state,
         argmax_invariants=invariants(state),
         evaluations=evaluations,
@@ -301,7 +301,7 @@ def frontier_line(i1p: float) -> float:
 def fit_I1_of_theta(theta1: float) -> float:
     """Quadratic-in-sin(2 theta) fit of the argmax invariant I1:
     -0.08756 sin^2(2 theta) - 0.07911 sin(2 theta) + 0.5."""
-    s = np.sin(2.0 * theta1)
+    s = np.sin(2.0 * _real_angle("theta1", theta1))
     return float(-0.08756 * s**2 - 0.07911 * s + 0.5)
 
 

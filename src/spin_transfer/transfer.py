@@ -22,6 +22,7 @@ pipeline, while a, d and f match it to rounding;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -41,11 +42,26 @@ GRID_INTERVALS_PER_PERIOD = 600
 NORMALIZATION_TOL = 1e-12
 
 
+def _real_angle(name: str, value: float) -> float:
+    """``value`` as a float: an angle with a non-zero imaginary part or a
+    non-finite value is rejected, and a complex number with zero imaginary
+    part is taken as its real part."""
+    z = complex(value)
+    if z.imag != 0 or not math.isfinite(z.real):
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+    return z.real
+
+
 @dataclass(frozen=True)
 class QubitPairState:
-    """Schmidt-form two-qubit pure state cos(theta)|00> + sin(theta)|11>."""
+    """Schmidt-form two-qubit pure state cos(theta)|00> + sin(theta)|11>.
+    ``theta`` is stored as a float; a non-finite angle or one with a
+    non-zero imaginary part raises ValueError."""
 
     theta: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "theta", _real_angle("theta", self.theta))
 
     def state_vector(self) -> np.ndarray:
         vec = np.zeros(4, dtype=complex)

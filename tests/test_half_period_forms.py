@@ -31,14 +31,31 @@ from spin_transfer.transfer import (
 
 SMALL_BUDGET = SearchBudget(coarse=30, refinements=2, shrink=5.0)
 FIG4_GRID = tuple(float(t) for t in np.linspace(0.0, np.pi / 4, 65))
-OFF_RANGE = (-3.0, -np.pi / 8, -0.05, 1.3, np.pi / 2, 3.0, 100.0)
-SWEEP = tuple(dict.fromkeys(FIG3_THETA_GRID + FIG4_GRID + OFF_RANGE))
+OFF_RANGE = (-3.0, -np.pi / 4, -np.pi / 8, -0.05, 1.25, 1.3, np.pi / 2, 3.0, 100.0)
+#: Angles where round 0 of a 7:4:3 search ties a grid point with seed B on
+#: the top value and on (k0^2, k1^2).
+TIE_ANGLES = tuple(float(t) for t in np.linspace(-0.55, -0.1, 10))
+SWEEP = tuple(dict.fromkeys(FIG3_THETA_GRID + FIG4_GRID + OFF_RANGE + TIE_ANGLES))
 #: The default budget, SMALL_BUDGET, fig4's reference budget and a deep one.
 ORACLE_BUDGETS = (
     SearchBudget(),
     SMALL_BUDGET,
     SearchBudget(coarse=24, refinements=2, shrink=5.0),
     SearchBudget(coarse=7, refinements=4, shrink=3.0),
+)
+#: Budgets on which the rank order's tie rules fire: the deep 7:4:3 (a
+#: round-0 tie on TIE_ANGLES), equal tops across rounds (61:3:5, 3:1:1.5,
+#: 151:2:5; at coarse 151 the grid midpoint lies 1 ulp from seed B's angle
+#: with the same (k0^2, k1^2)), the smallest grid, and two budgets whose
+#: result turns on the (k0^2, k1^2) order (151:2:5 at theta1 = 1.25, 4:3:2
+#: at -pi/4).
+RANK_BUDGETS = (
+    SearchBudget(coarse=7, refinements=4, shrink=3.0),
+    SearchBudget(coarse=61, refinements=3, shrink=5.0),
+    SearchBudget(coarse=2, refinements=3, shrink=2.0),
+    SearchBudget(coarse=3, refinements=1, shrink=1.5),
+    SearchBudget(coarse=151, refinements=2, shrink=5.0),
+    SearchBudget(coarse=4, refinements=3, shrink=2.0),
 )
 HALF_PERIOD_EVOLUTION = full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
 
@@ -146,7 +163,8 @@ class TestGridAmplitudes:
 class TestFormRankingIsExact:
     @pytest.mark.parametrize("theta1", SWEEP)
     def test_small_budget(self, theta1):
-        assert_same_search(theta1, SMALL_BUDGET)
+        for budget in (SMALL_BUDGET,) + RANK_BUDGETS:
+            assert_same_search(theta1, budget)
 
     @pytest.mark.parametrize("theta1", [0.0, np.pi / 8, FIG4_GRID[37]])
     def test_default_budget(self, theta1):

@@ -2,19 +2,43 @@ import numpy as np
 import pytest
 
 import spin_transfer.protocol as protocol
+from spin_transfer.entanglement import negativity, schmidt_angle_from_negativity
 from spin_transfer.protocol import (
     MODE_MIXED,
     MODE_PURE_RESET,
+    IterationRecord,
     canonical_mode,
     iterate_transfer,
     snapshot_purity,
 )
 from spin_transfer.qla import Operator
-from spin_transfer.transfer import STATE_A, STATE_B, QubitPairState
+from spin_transfer.transfer import (
+    QUTRIT_HALF_PERIOD,
+    STATE_A,
+    STATE_B,
+    STATE_C,
+    QubitPairState,
+    QutritPairState,
+    evolve_reduced,
+)
 
 
 def after_values(e0, sp, steps, mode):
     return [r.negativity_after for r in iterate_transfer(e0, sp, steps, mode)]
+
+
+def per_round_iterate_pure_reset(e0, sp, steps) -> list[IterationRecord]:
+    """The pure-reset loop that made each round's record as soon as the
+    round was scored, before both modes shared one record path."""
+    records = []
+    e = float(e0)
+    for step in range(1, steps + 1):
+        theta = schmidt_angle_from_negativity(e)
+        rho = evolve_reduced(QubitPairState(theta), sp, QUTRIT_HALF_PERIOD)
+        e_after = negativity(rho).value
+        records.append(IterationRecord(step, e, e_after, MODE_PURE_RESET, theta))
+        e = e_after
+    return records
 
 
 class TestPureReset:
@@ -41,6 +65,19 @@ class TestPureReset:
         assert isinstance(rec.tp_state_snapshot, float)
         assert rec.tp_state_snapshot == pytest.approx(0.5 * np.arcsin(0.2), abs=1e-12)
         assert snapshot_purity(rec) == 1.0
+
+    def test_records_equal_the_per_round_loop(self):
+        rng = np.random.default_rng(29)
+        sources = [STATE_A, STATE_B, STATE_C] + [
+            QutritPairState(*np.sqrt(rng.dirichlet((1.0, 1.0, 1.0)))) for _ in range(9)
+        ]
+        for i, sp in enumerate(sources):
+            e0 = (0.0, 1.0)[i] if i < 2 else float(rng.uniform(0.0, 1.0))
+            records = iterate_transfer(e0, sp, 12)
+            oracle = per_round_iterate_pure_reset(e0, sp, 12)
+            assert records == oracle
+            # repr also tells float from np.float64 and 0.0 from -0.0
+            assert repr(records) == repr(oracle)
 
     def test_records_are_chained(self):
         records = iterate_transfer(0.1, STATE_A, 3)

@@ -126,11 +126,19 @@ class TestHalfPeriodEvaluator:
             negativity_at_half_period(0.3, amps.astype(complex)),
             negativity_at_half_period(0.3, amps),
         )
+        assert np.array_equal(
+            negativity_at_half_period(0.3 + 0j, amps), negativity_at_half_period(0.3, amps)
+        )
 
-    @pytest.mark.parametrize("theta1", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "theta1", [np.nan, np.inf, -np.inf, 0.3 + 0.5j, 1j, np.complex128(0.2 - 1e-300j)]
+    )
     def test_rejects_non_finite_angle(self, theta1):
         with pytest.raises(ValueError, match="theta1 must be finite"):
             negativity_at_half_period(theta1, STATE_A.amplitudes())
+        # the angle is reported before a bad column
+        with pytest.raises(ValueError, match="theta1 must be finite"):
+            negativity_at_half_period(theta1, np.array([-1.0, 0.0, 0.0]))
 
 
 class TestMaximize:
@@ -189,10 +197,15 @@ class TestMaximize:
         with pytest.raises(ValueError):
             SearchBudget(20, 2, shrink)
 
-    @pytest.mark.parametrize("theta1", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("theta1", [float("nan"), float("inf"), 0.3 + 0.5j])
     def test_non_finite_angle_rejected(self, theta1):
         with pytest.raises(ValueError, match="finite"):
             maximize_E12_half_period(theta1, SMALL_BUDGET)
+
+    def test_complex_angle_with_zero_imaginary_part_is_its_real_part(self):
+        result = maximize_E12_half_period(0.3 + 0j, SMALL_BUDGET)
+        assert result == maximize_E12_half_period(0.3, SMALL_BUDGET)
+        assert type(result.theta1) is float
 
 
 class TestFrontier:
@@ -209,6 +222,12 @@ class TestFrontier:
     def test_fit_endpoints(self):
         assert fit_I1_of_theta(0.0) == pytest.approx(0.5, abs=1e-15)
         assert fit_I1_of_theta(np.pi / 4) == pytest.approx(1 / 3, abs=1e-5)
+
+    def test_fit_applies_the_target_angle_rule(self):
+        for theta1 in (1j, 0.3 + 0.5j, np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta1 must be finite"):
+                fit_I1_of_theta(theta1)
+        assert fit_I1_of_theta(0.3 + 0j) == fit_I1_of_theta(0.3)
 
     def test_extracted_boundary_brackets_line(self):
         boundary = extract_lower_boundary(grid_points=601, bins=300)

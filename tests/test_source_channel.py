@@ -168,10 +168,28 @@ class TestMixedStaircase:
         )
 
     def test_a_bad_carried_state_is_named_by_its_position(self, monkeypatch):
+        # S[(0, 1), (0, 0)] moves rho[0, 1] but not rho[1, 0]: the trace is
+        # kept and the first carried state breaks Hermiticity
+        def perturbed(u, sp):
+            channel = source_channel(u, sp)
+            channel[1, 0] += 1e-6
+            return channel
+
+        monkeypatch.setattr(protocol, "source_channel", perturbed)
+        for steps in (4, 2000):
+            with pytest.raises(ValueError, match=r"state 1: Hermiticity defect"):
+                iterate_transfer(0.3, STATE_B, steps, MODE_MIXED)
+
+    @pytest.mark.parametrize(
+        ("scale", "steps"), [(1.01, 4), (1.01, 2000), (2.0, 2000), (np.nan, 4)]
+    )
+    def test_a_channel_that_breaks_the_trace_is_refused_where_it_is_built(
+        self, monkeypatch, scale, steps
+    ):
         original = protocol.source_channel
-        monkeypatch.setattr(protocol, "source_channel", lambda u, sp: 1.01 * original(u, sp))
-        with pytest.raises(ValueError, match=r"state 1: trace defect"):
-            iterate_transfer(0.3, STATE_B, 4, MODE_MIXED)
+        monkeypatch.setattr(protocol, "source_channel", lambda u, sp: scale * original(u, sp))
+        with pytest.raises(ValueError, match="source channel does not preserve the trace"):
+            iterate_transfer(0.3, STATE_B, steps, MODE_MIXED)
 
     def test_one_full_evolution_per_run(self, monkeypatch):
         calls = []

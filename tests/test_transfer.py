@@ -41,6 +41,20 @@ class TestStates:
         assert vec[3] == pytest.approx(np.sin(0.3))
         assert tp.initial_negativity() == pytest.approx(abs(np.sin(0.6)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, 1j, 0.3 + 0.5j])
+    def test_qubit_pair_rejects_a_complex_or_non_finite_angle(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite and real"):
+            QubitPairState(theta)
+
+    @pytest.mark.parametrize("theta", [0.3 + 0j, np.complex128(0.3), np.float64(0.3), -0.0])
+    def test_qubit_pair_angle_is_a_float(self, theta):
+        tp = QubitPairState(theta)
+        assert type(tp.theta) is float
+        assert tp.theta == theta.real
+        assert np.signbit(tp.theta) == np.signbit(theta.real)
+        assert tp == QubitPairState(float(np.real(theta)))
+
     def test_qutrit_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             QutritPairState(1.0, 1.0, 0.0)
