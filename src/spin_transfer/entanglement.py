@@ -1,12 +1,14 @@
 """Negativity of two-subsystem states, generic and X-state closed form.
 
 The generic route (eigenvalues of the partial transpose) is written once, for
-a stack of states: ``negativities`` scores a whole time grid of
-``transfer.entanglement_curve`` and every state of a mixed-continuation
-staircase in one call each, and ``negativity``, its one-state case, scores
-every pure-reset step and ``fig2`` row.  A state scores the same bits in a
-stack of any length as alone.  The vectorized X-state formula serves the
-half-period quadratic forms, which score both
+a stack of states: ``negativities`` scores every state of a
+mixed-continuation staircase in one call, and ``negativity``, its one-state
+case, scores every pure-reset step and ``fig2`` row.  A state scores the same
+bits in a stack of any length as alone.  The X-state closed form serves the
+states that keep the X pattern: ``_xstate_negativities`` runs the density
+checks of ``negativities`` written for that pattern (its least eigenvalue is
+exact) and scores a whole time grid of ``transfer.entanglement_curve``; the
+same formula scores the half-period quadratic forms behind
 ``qutritmax.negativity_at_half_period`` and the half-period search.
 """
 
@@ -139,6 +141,37 @@ def negativities(states: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     if not least.min(initial=0.0) >= -POSITIVITY_TOL:
         _reject("eigenvalue", least, least >= -POSITIVITY_TOL)
     return -2.0 * np.minimum(spectra[n:], 0.0).sum(axis=1)
+
+
+def _xstate_negativities(states: np.ndarray) -> np.ndarray:
+    """Raw negativity of each two-qubit X state of a stack (N, 4, 4), in
+    closed form: ``negativities`` for states that keep the X pattern.
+
+    The checks are those of ``negativities``, in its order, each written for
+    the X form, and the ValueError names the first state that fails the
+    first failing check (a NaN fails the first):
+    - Hermiticity and X pattern within ``DEFAULT_ALGEBRAIC_TOL``: every
+      off-pattern entry, twice the imaginary part of the diagonal and
+      rho_30 - conj(rho_03);
+    - unit trace within ``POSITIVITY_TOL``;
+    - least eigenvalue min(b, c, (a + d)/2 - hypot((a - d)/2, |f|)), the
+      exact spectrum of an X state, not below ``-POSITIVITY_TOL``.
+    """
+    defect = abs(states - np.where(X_PATTERN, states.conj().swapaxes(1, 2), 0.0))
+    trace = abs(states.trace(axis1=1, axis2=2) - 1.0)
+    if not (
+        defect.max(initial=0.0) <= DEFAULT_ALGEBRAIC_TOL
+        and trace.max(initial=0.0) <= POSITIVITY_TOL
+    ):
+        defect = defect.max(axis=(1, 2))
+        _reject("Hermiticity or X-pattern defect", defect, defect <= DEFAULT_ALGEBRAIC_TOL)
+        _reject("trace defect", trace, trace <= POSITIVITY_TOL)
+    a, b, c, d = states.diagonal(axis1=1, axis2=2).real.T
+    f_abs = abs(states[:, 0, 3])
+    least = np.minimum(np.minimum(b, c), (a + d) / 2 - np.hypot((a - d) / 2, f_abs))
+    if not least.min(initial=0.0) >= -POSITIVITY_TOL:
+        _reject("eigenvalue", least, least >= -POSITIVITY_TOL)
+    return xstate_negativity_raw(b, c, f_abs)
 
 
 def _reject(name: str, values: np.ndarray, ok: np.ndarray) -> None:

@@ -10,10 +10,10 @@ result, so its pair propagator evaluates only ``spectral_exponential`` and
 its spectral projectors are grouped from the same eigenvectors.
 The two cuts the physics makes, target pair | source pair
 (``transfer.evolve_and_reduce``, with ``transfer.source_channel`` its form for
-a pure source and ``transfer.entanglement_curve`` for its stack of pure
-states) and target A | target B
-(``entanglement.negativities``), live next to the state layouts they depend
-on.  Dimensions stay tiny (at most 36).
+a pure source and the Fourier components of ``transfer.entanglement_curve``
+its form for the spectral parts of a pure state) and target A | target B
+(``entanglement.negativities``, and in closed form for X states), live next
+to the state layouts they depend on.  Dimensions stay tiny (at most 36).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from spin_transfer.entanglement import (
     NegativityValue,
     XStateCoeffs,
+    _xstate_negativities,
     clamp_negativity,
     negativities,
     negativity,
@@ -155,6 +156,74 @@ class TestNegativityStack:
             with pytest.raises(ValueError) as scalar_error:
                 NegativityValue.from_raw(raw, upper)
             assert str(scalar_error.value) == str(array_error.value)
+
+
+def xstate_stack(rng, n: int) -> np.ndarray:
+    """X states with a Dirichlet diagonal (a, b, c, d) and a coherence f of
+    any phase with |f| <= sqrt(ad); about a fifth sit on |f| = sqrt(ad)."""
+    a, b, c, d = rng.dirichlet(np.ones(4), size=n).T
+    reach = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(0.0, 1.0, n))
+    f = reach * np.sqrt(a * d) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    states = np.zeros((n, 4, 4), dtype=complex)
+    for i, entry in enumerate((a, b, c, d)):
+        states[:, i, i] = entry
+    states[:, 0, 3], states[:, 3, 0] = f, f.conj()
+    return states
+
+
+X_DEFECT = "Hermiticity or X-pattern defect"
+#: Hermitian, but every entry outside the X pattern it touches is non-zero.
+OFF_PATTERN = np.eye(4, k=1) + np.eye(4, k=-1)
+
+
+def with_coherence(m: np.ndarray, f: complex) -> np.ndarray:
+    m = m.astype(complex)
+    m[0, 3], m[3, 0] = f, np.conj(f)
+    return m
+
+
+class TestXStateStack:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_generic_stack(self, n, seed):
+        states = xstate_stack(np.random.default_rng(seed), n)
+        closed = _xstate_negativities(states)
+        generic = negativities(states, (2, 2))
+        assert closed.shape == (n,)
+        assert np.abs(closed - generic).max() <= 1e-14
+
+    def test_empty_stack(self):
+        raws = _xstate_negativities(np.zeros((0, 4, 4), dtype=complex))
+        assert raws.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "index,defect,message",
+        [
+            (1, lambda m: m + 1e-6 * OFF_PATTERN, f"{X_DEFECT} 1.000e-06"),
+            (2, lambda m: m + np.diag([0.0, 1e-6j, 0.0, 0.0]), f"{X_DEFECT} 2.000e-06"),
+            (1, lambda m: 1.01 * m, "trace defect 1.000e-02"),
+            (3, lambda m: np.diag([1.5, -0.5, 0.0, 0.0]), "eigenvalue -5.000e-01"),
+            (2, lambda m: with_coherence(np.diag([0.5, 0, 0, 0.5]), 0.6j), "eigenvalue -1.000e-01"),
+            (0, lambda m: np.where(np.eye(4) == 1, np.nan, m), f"{X_DEFECT} nan"),
+            (2, lambda m: with_coherence(m, np.nan), f"{X_DEFECT} nan"),
+        ],
+        ids=["off-pattern", "complex-diagonal", "trace", "eigenvalue", "coherence", "nan", "nan-f"],
+    )
+    def test_each_check_names_the_first_bad_state(self, index, defect, message, rng):
+        states = xstate_stack(rng, 5)
+        states[index] = defect(states[index])
+        states[4] = defect(states[4])  # a later state with the same defect is not named
+        with pytest.raises(ValueError, match=f"not a density operator: state {index}: {message}"):
+            _xstate_negativities(states)
+
+    def test_checks_run_in_the_generic_order(self, rng):
+        # the X-pattern defect of state 3 is found before the trace defect of
+        # state 0, as negativities finds a Hermiticity defect first
+        states = xstate_stack(rng, 4)
+        states[0] *= 1.01
+        states[3, 1, 2] = 1e-3
+        with pytest.raises(ValueError, match=f"state 3: {X_DEFECT}"):
+            _xstate_negativities(states)
 
 
 class TestNegativityValue:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spin_transfer.entanglement import XStateCoeffs, negativity
+from spin_transfer.entanglement import XStateCoeffs, clamp_negativity, negativities, negativity
 from spin_transfer.qla import POSITIVITY_TOL
 from spin_transfer.qla import Operator, kron
 from spin_transfer.transfer import (
@@ -23,6 +23,7 @@ from spin_transfer.transfer import (
     evolve_and_reduce,
     evolve_reduced,
     initial_full_state,
+    model_for_source,
     qutrit_closed_form_discrepancy,
 )
 
@@ -264,6 +265,34 @@ class TestClosedFormQubit:
         assert worst < 1e-10
 
 
+class TestClosedFormAngles:
+    """Both transcriptions take the target-angle rule of QubitPairState."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.3 + 0.5j])
+    @pytest.mark.parametrize(
+        "form,name",
+        [
+            (lambda x: closed_form_rho12_qubit(x, 0.4, 1.0), "theta1"),
+            (lambda x: closed_form_rho12_qubit(0.4, x, 1.0), "theta2"),
+            (lambda x: closed_form_rho12_qutrit(x, STATE_B, 1.0), "theta1"),
+        ],
+        ids=["qubit-theta1", "qubit-theta2", "qutrit-theta1"],
+    )
+    def test_complex_or_non_finite_angle_is_named(self, form, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and real"):
+            form(bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [0.0, 1.0, QUTRIT_HALF_PERIOD])
+    def test_zero_imaginary_part_is_dropped_bit_for_bit(self, t):
+        qubit = closed_form_rho12_qubit(0.3, 0.5, t)
+        assert closed_form_rho12_qubit(0.3 + 0j, np.complex128(0.5), t) == qubit
+        assert closed_form_rho12_qutrit(0.3 + 0j, STATE_A, t) == closed_form_rho12_qutrit(
+            0.3, STATE_A, t
+        )
+
+
 class TestClosedFormQutrit:
     def test_zero_time_values(self, rng):
         sp = random_qutrit_state(rng)
@@ -369,6 +398,12 @@ class TestEntanglementCurve:
         with pytest.raises(ValueError, match="time 1e[+]308 at index 0 has a non-finite phase"):
             entanglement_curve(QubitPairState(0.3), STATE_A, [1e308])
 
+    def test_phase_overflow_covers_the_second_order(self):
+        # for a qubit source (Delta = 1) only the phase 2 * 1e308 of the
+        # orders m = +-2 overflows
+        with pytest.raises(ValueError, match="time 1e[+]308 at index 1 has a non-finite phase"):
+            entanglement_curve(QubitPairState(0.3), QubitPairState(0.2), [0.0, 1e308])
+
     def test_empty_grid(self):
         trace = entanglement_curve(QubitPairState(0.3), STATE_B, [])
         assert trace.times.size == 0 and trace.negativities.size == 0
@@ -383,6 +418,47 @@ class TestEntanglementCurve:
         grid = default_time_grid(QUBIT_SOURCE_PERIOD)
         assert grid.size == 601
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(QUBIT_SOURCE_PERIOD)
+
+
+def pure_state_curve(tp: QubitPairState, sp, times: np.ndarray) -> np.ndarray:
+    """The former batched route, kept as an oracle: the (N, 4, d*d) stack of
+    evolved pure states psi(t) = sum_j exp(-i j Delta t) chi_j, its source
+    trace by one einsum, and the generic ``negativities``."""
+    model = model_for_source(sp)
+    d = model.source_dim
+    p = np.stack([q.matrix for q in model.pair_projectors]).reshape(2, 2, d, 2, d)
+    psi0 = tp.state_vector().reshape(2, 2)
+    source0 = sp.state_vector().reshape(d, d)
+    parts = np.einsum("xaiAI,ybjBJ,AB,IJ->xyabij", p, p, psi0, source0).reshape(2, 2, 4, d * d)
+    chi = np.stack([parts[0, 0], parts[0, 1] + parts[1, 0], parts[1, 1]])
+    lo, hi = model.pair_eigenvalues
+    phases = np.multiply.outer(times, -(hi - lo) * np.arange(3))
+    psi = np.tensordot(np.exp(1j * phases), chi, axes=1)
+    rho = np.einsum("nas,nbs->nab", psi, psi.conj())
+    return clamp_negativity(negativities(rho, (2, 2)))
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [
+        STATE_A,
+        STATE_B,
+        STATE_C,
+        QutritPairState(*np.sqrt(np.random.default_rng(16).dirichlet((1.0, 1.0, 1.0)))),
+        QubitPairState(np.pi / 4),
+        QubitPairState(0.3),
+    ],
+    ids=["A", "B", "C", "dirichlet", "qubit-bell", "qubit-0.3"],
+)
+def test_curve_matches_the_pure_state_route(sp):
+    """The Fourier sum scored in X form against the former route, on the
+    601-point grid over one source period."""
+    period = QUBIT_SOURCE_PERIOD if isinstance(sp, QubitPairState) else QUTRIT_SOURCE_PERIOD
+    grid = default_time_grid(period)
+    for theta1 in np.linspace(-3.0, 3.0, 13):
+        tp = QubitPairState(theta1)
+        curve = entanglement_curve(tp, sp, grid).negativities
+        assert np.abs(curve - pure_state_curve(tp, sp, grid)).max() <= 1e-14
 
 
 SOURCES = st.one_of(
