@@ -5,11 +5,14 @@ a stack of states: ``negativities`` scores every state of a
 mixed-continuation staircase in one call, and ``negativity``, its one-state
 case, scores every pure-reset step and ``fig2`` row.  A state scores the same
 bits in a stack of any length as alone.  The X-state closed form serves the
-states that keep the X pattern: ``_xstate_negativities`` runs the density
-checks of ``negativities`` written for that pattern (its least eigenvalue is
-exact) and scores a whole time grid of ``transfer.entanglement_curve``; the
-same formula scores the half-period quadratic forms behind
-``qutritmax.negativity_at_half_period`` and the half-period search.
+states that keep the X pattern, under one acceptance rule: the checks of
+``_xstate_negativities``, the density checks of ``negativities`` written for
+that pattern (its least eigenvalue is exact).  They guard a whole time grid
+of ``transfer.entanglement_curve`` and the one-state stack of
+``negativity_xstate``, and their Hermiticity and X-pattern part guards
+``XStateCoeffs.from_operator``.  The same formula scores the half-period
+quadratic forms behind ``qutritmax.negativity_at_half_period`` and the
+half-period search.
 """
 
 from __future__ import annotations
@@ -64,17 +67,6 @@ class XStateCoeffs:
     d: float
     f: complex
 
-    def validate(self) -> None:
-        diag = (self.a, self.b, self.c, self.d)
-        if not abs(sum(diag) - 1.0) <= POSITIVITY_TOL:  # NaN fails too
-            raise ValueError(f"diagonal sums to {sum(diag)!r}, not 1 within {POSITIVITY_TOL:.1e}")
-        if not min(diag) >= -POSITIVITY_TOL:
-            raise ValueError(f"negative diagonal entry {min(diag)!r}")
-        if not abs(self.f) ** 2 <= self.a * self.d + POSITIVITY_TOL:
-            raise ValueError(
-                f"|f|^2 = {abs(self.f)**2!r} exceeds a*d = {self.a * self.d!r} beyond tol"
-            )
-
     def to_operator(self) -> Operator:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
@@ -84,16 +76,12 @@ class XStateCoeffs:
 
     @classmethod
     def from_operator(cls, rho: Operator) -> "XStateCoeffs":
-        """Extract coefficients, rejecting matrices without the X sparsity
-        pattern or with non-real diagonal."""
+        """Extract coefficients from a two-qubit ``rho`` that passes the
+        Hermiticity and X-pattern check of ``_xstate_negativities``."""
         if rho.dims != (2, 2):
             raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
         m = rho.matrix
-        stray = float(np.abs(np.where(X_PATTERN, 0.0, m)).max())
-        if not stray <= DEFAULT_ALGEBRAIC_TOL:  # NaN fails too
-            raise ValueError(f"matrix is not X-shaped: off-pattern entry {stray:.3e}")
-        if not float(np.abs(np.imag(np.diag(m))).max()) <= DEFAULT_ALGEBRAIC_TOL:
-            raise ValueError("diagonal entries are not real")
+        _check_x_form(m[None])
         return cls(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, complex(m[0, 3]))
 
 
@@ -157,21 +145,22 @@ def _xstate_negativities(states: np.ndarray) -> np.ndarray:
     - least eigenvalue min(b, c, (a + d)/2 - hypot((a - d)/2, |f|)), the
       exact spectrum of an X state, not below ``-POSITIVITY_TOL``.
     """
-    defect = abs(states - np.where(X_PATTERN, states.conj().swapaxes(1, 2), 0.0))
+    _check_x_form(states)
     trace = abs(states.trace(axis1=1, axis2=2) - 1.0)
-    if not (
-        defect.max(initial=0.0) <= DEFAULT_ALGEBRAIC_TOL
-        and trace.max(initial=0.0) <= POSITIVITY_TOL
-    ):
-        defect = defect.max(axis=(1, 2))
-        _reject("Hermiticity or X-pattern defect", defect, defect <= DEFAULT_ALGEBRAIC_TOL)
-        _reject("trace defect", trace, trace <= POSITIVITY_TOL)
+    _reject("trace defect", trace, trace <= POSITIVITY_TOL)
     a, b, c, d = states.diagonal(axis1=1, axis2=2).real.T
     f_abs = abs(states[:, 0, 3])
     least = np.minimum(np.minimum(b, c), (a + d) / 2 - np.hypot((a - d) / 2, f_abs))
-    if not least.min(initial=0.0) >= -POSITIVITY_TOL:
-        _reject("eigenvalue", least, least >= -POSITIVITY_TOL)
+    _reject("eigenvalue", least, least >= -POSITIVITY_TOL)
     return xstate_negativity_raw(b, c, f_abs)
+
+
+def _check_x_form(states: np.ndarray) -> None:
+    """The Hermiticity and X-pattern check of ``_xstate_negativities``, which
+    ``XStateCoeffs.from_operator`` runs alone."""
+    defect = abs(states - np.where(X_PATTERN, states.conj().swapaxes(1, 2), 0.0))
+    defect = defect.max(axis=(1, 2))
+    _reject("Hermiticity or X-pattern defect", defect, defect <= DEFAULT_ALGEBRAIC_TOL)
 
 
 def _reject(name: str, values: np.ndarray, ok: np.ndarray) -> None:
@@ -191,10 +180,14 @@ def negativity(rho: Operator) -> NegativityValue:
 
 
 def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:
-    """Closed-form negativity of an X state:
-    max(0, sqrt((b - c)^2 + 4 |f|^2) - (b + c))."""
-    coeffs.validate()
-    raw = xstate_negativity_raw(coeffs.b, coeffs.c, abs(coeffs.f))
+    """Closed-form negativity of an X state,
+    max(0, sqrt((b - c)^2 + 4 |f|^2) - (b + c)), for coefficients that pass
+    the checks ``_xstate_negativities`` runs on ``coeffs.to_operator()``."""
+    _xstate_negativities(coeffs.to_operator().matrix[None])
+    # scored from the scalars: numpy's vectorized complex abs differs by 1 ulp
+    # from the scalar one on about a third of |f| values; .real drops an
+    # imaginary diagonal part the check let through, as the stack does
+    raw =xstate_negativity_raw(coeffs.b.real, coeffs.c.real, abs(coeffs.f))
     return NegativityValue.from_raw(float(raw))
 
 

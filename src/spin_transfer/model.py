@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, hermitian_eigh, kron, spectral_exponential
+from .qla import (
+    DEFAULT_ALGEBRAIC_TOL,
+    Operator,
+    _real_angle,
+    hermitian_eigh,
+    kron,
+    spectral_exponential,
+)
 
 SUPPORTED_SOURCE_DIMS = (2, 3)
 
@@ -119,8 +126,9 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
     """Analytic pair propagator exp(-i H t) written out entrywise.
 
     Used as a regression check against the eigendecomposition route, which
-    is the authoritative one.
+    is the authoritative one.  ``t`` follows the rule of ``qla._real_angle``.
     """
+    t = _real_angle("t", t)
     if model.source_dim == 2:
         phase = np.exp(-1j * t / 4)
         e = np.exp(1j * t)
@@ -155,8 +163,11 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
 
 def pair_propagator(model: TransferModel, t: float) -> Operator:
     """Eigendecomposition propagator for the coupled pair, from the model's
-    cached ``pair_eigh``."""
-    return Operator(spectral_exponential(*model.pair_eigh, t), model.pair_hamiltonian.dims)
+    cached ``pair_eigh``.  ``t`` follows the rule of ``qla._real_angle``, so
+    ``full_evolution`` and ``transfer.evolve_reduced`` refuse a non-finite
+    or non-real time."""
+    u = spectral_exponential(*model.pair_eigh, _real_angle("t", t))
+    return Operator(u, model.pair_hamiltonian.dims)
 
 
 def full_evolution(model: TransferModel, t: float) -> Operator:

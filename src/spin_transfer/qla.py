@@ -19,12 +19,23 @@ to the state layouts they depend on.  Dimensions stay tiny (at most 36).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
 DEFAULT_ALGEBRAIC_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
+
+
+def _real_angle(name: str, value: float) -> float:
+    """``value`` as a float, the one rule for a target angle or an
+    evolution time: a value with a non-zero imaginary part or a non-finite
+    value is rejected, and a complex number with zero imaginary part is
+    taken as its real part."""
+    z = complex(value)
+    if z.imag != 0 or not isfinite(z.real):
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+    return z.real
 
 
 @dataclass(frozen=True)

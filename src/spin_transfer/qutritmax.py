@@ -25,7 +25,7 @@ import numpy as np
 
 from .entanglement import xstate_negativity_raw
 from .model import TransferModel, full_evolution
-from .qla import POSITIVITY_TOL
+from .qla import POSITIVITY_TOL, _real_angle
 from .transfer import (
     NORMALIZATION_TOL,
     QUTRIT_HALF_PERIOD,
@@ -33,7 +33,6 @@ from .transfer import (
     STATE_B,
     STATE_C,
     QutritPairState,
-    _real_angle,
 )
 
 I1_MIN = 1.0 / 3.0
@@ -319,7 +318,12 @@ class LowerBoundary:
 
 def extract_lower_boundary(grid_points: int = 1201, bins: int = 600) -> LowerBoundary:
     """Sweep the amplitude simplex densely and record, per I1' bin, the
-    sample of least I2' (at its own abscissa, which avoids binning bias)."""
+    sample of least I2' (at its own abscissa, which avoids binning bias).
+    A sweep with fewer than 2 ``grid_points`` or 1 bin raises ValueError."""
+    if not grid_points >= 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
+    if not bins >= 1:
+        raise ValueError(f"bins must be at least 1, got {bins!r}")
     axis = np.linspace(0.0, np.pi / 2, grid_points)
     p = _grid_amplitudes(axis, axis) ** 2
     i1 = (p**2).sum(axis=0)

@@ -26,7 +26,6 @@ pipeline, while a, d and f match it to rounding;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .entanglement import XStateCoeffs, _xstate_negativities, clamp_negativity
 from .model import TransferModel, full_evolution
-from .qla import Operator
+from .qla import Operator, _real_angle
 
 QUBIT_SOURCE_PERIOD = 2.0 * np.pi
 QUTRIT_SOURCE_PERIOD = 4.0 * np.pi / 3.0
@@ -44,16 +43,6 @@ QUTRIT_HALF_PERIOD = 2.0 * np.pi / 3.0
 GRID_INTERVALS_PER_PERIOD = 600
 
 NORMALIZATION_TOL = 1e-12
-
-
-def _real_angle(name: str, value: float) -> float:
-    """``value`` as a float: an angle with a non-zero imaginary part or a
-    non-finite value is rejected, and a complex number with zero imaginary
-    part is taken as its real part."""
-    z = complex(value)
-    if z.imag != 0 or not math.isfinite(z.real):
-        raise ValueError(f"{name} must be finite and real, got {value!r}")
-    return z.real
 
 
 @dataclass(frozen=True)
@@ -226,8 +215,9 @@ def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
 
 def closed_form_rho12_qubit(theta1: float, theta2: float, t: float) -> XStateCoeffs:
     """Analytic reduced-state coefficients for a qubit source.  Both angles
-    follow the target-angle rule of ``QubitPairState``."""
+    and the time ``t`` follow the rule of ``qla._real_angle``."""
     theta1, theta2 = _real_angle("theta1", theta1), _real_angle("theta2", theta2)
+    t = _real_angle("t", t)
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
     half_sin_sq = np.sin(t / 2) ** 2
@@ -251,10 +241,10 @@ def closed_form_rho12_qutrit(theta1: float, sp: QutritPairState, t: float) -> XS
     those revivals it is off (the pipeline's b is (1 - a - d)/2), so the
     coefficients need not even form a density matrix.  They are kept
     verbatim as a regression artifact and quantified by
-    ``qutrit_closed_form_discrepancy``.  ``theta1`` follows the
-    target-angle rule of ``QubitPairState``.
+    ``qutrit_closed_form_discrepancy``.  ``theta1`` and ``t`` follow the
+    rule of ``qla._real_angle``.
     """
-    theta1 = _real_angle("theta1", theta1)
+    theta1, t = _real_angle("theta1", theta1), _real_angle("t", t)
     k0, k1, k2 = sp.k0, sp.k1, sp.k2
     c, s = np.cos(theta1), np.sin(theta1)
     e32 = np.exp(3j * t / 2)

@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 from spin_transfer.entanglement import (
     NegativityValue,
     XStateCoeffs,
+    _check_x_form,
     _xstate_negativities,
     clamp_negativity,
     negativities,
     negativity,
     negativity_xstate,
     schmidt_angle_from_negativity,
+    xstate_negativity_raw,
 )
 from spin_transfer.qla import Operator, kron
 from spin_transfer.transfer import QubitPairState, QutritPairState, closed_form_rho12_qubit
@@ -226,6 +228,40 @@ class TestXStateStack:
             _xstate_negativities(states)
 
 
+#: What ``perturbed_xstate`` varies around a valid X state.
+XSTATE_KINDS = ["valid", "boundary", "small-ad", "complex-diagonal", "trace", "nan"]
+
+
+def perturbed_xstate(rng, kind: str) -> XStateCoeffs:
+    """An X state with a Dirichlet diagonal and a coherence of any phase
+    with |f| <= sqrt(ad), perturbed by ``kind``: |f| within 1e-12..1e-2
+    (relative) of sqrt(ad) on either side, a and d within 1e-12..1e-4, an
+    imaginary part within 1e-14..1e-8 on one diagonal entry, a diagonal
+    off unit trace by 1e-11..1e-7, or a NaN in one entry."""
+    a, b, c, d = rng.dirichlet(np.ones(4))
+    reach = rng.uniform(0.0, 1.0)
+    if kind == "small-ad":
+        a, d = 10.0 ** rng.uniform(-12.0, -4.0, 2)
+        b = rng.uniform(0.0, 1.0 - a - d)
+        c = 1.0 - a - d - b
+        reach = rng.uniform(0.0, 2.0)
+    if kind == "boundary":
+        reach = 1.0 + rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -2.0)
+    diag = [complex(x) for x in (a, b, c, d)]
+    f = reach * np.sqrt(a * d) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+    if kind == "complex-diagonal":
+        diag[rng.integers(4)] += 1j * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -8.0)
+    if kind == "trace":
+        diag[rng.integers(4)] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.0, -7.0)
+    if kind == "nan":
+        entries = diag + [f]
+        entries[rng.integers(5)] = complex(np.nan, 0.0) if rng.random() < 0.5 else np.nan
+        diag, f = entries[:4], entries[4]
+    if kind in ("valid", "boundary", "small-ad"):
+        diag = [x.real for x in diag]
+    return XStateCoeffs(*diag, f)
+
+
 class TestNegativityValue:
     def test_small_negative_raw_is_clamped(self):
         v = NegativityValue.from_raw(-5e-10)
@@ -268,14 +304,43 @@ class TestXStateFormula:
         assert worst < 1e-10
 
     def test_invalid_coefficients_rejected(self):
-        with pytest.raises(ValueError, match="sums"):
+        with pytest.raises(ValueError, match=r"state 0: trace defect 1\.000e\+00"):
             negativity_xstate(XStateCoeffs(0.5, 0.5, 0.5, 0.5, 0.0))
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="state 0: eigenvalue -1.500e-01"):
             negativity_xstate(XStateCoeffs(0.25, 0.25, 0.25, 0.25, 0.4))
-        with pytest.raises(ValueError, match="sums"):
+        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
             negativity_xstate(XStateCoeffs(np.nan, 0.25, 0.25, 0.5, 0.1))
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
             negativity_xstate(XStateCoeffs(0.25, 0.25, 0.25, 0.25, complex(np.nan, 0.0)))
+
+    def test_small_corner_coherence_beyond_ad_is_refused(self):
+        # |f|^2 = 9e-10 passes |f|^2 <= ad + 1e-9, but the least eigenvalue
+        # (a + d)/2 - hypot((a - d)/2, |f|) is -2.9e-5: refused, as by the
+        # curve scorer and by the generic negativity
+        coeffs = XStateCoeffs(1e-6, 0.5 - 1e-6, 0.5 - 1e-6, 1e-6, 3e-5)
+        message = "input is not a density operator: state 0: eigenvalue -2.900e-05"
+        for score in (negativity_xstate, lambda x: negativity(x.to_operator())):
+            with pytest.raises(ValueError) as error:
+                score(coeffs)
+            assert str(error.value) == message
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.sampled_from(XSTATE_KINDS), st.integers(0, 2**32 - 1))
+    def test_one_state_follows_the_stack_rule(self, kind, seed):
+        # refused exactly when the one-state stack is, with its message;
+        # otherwise the scalar closed form, bit for bit
+        coeffs = perturbed_xstate(np.random.default_rng(seed), kind)
+        try:
+            _xstate_negativities(coeffs.to_operator().matrix[None])
+        except ValueError as stack_error:
+            with pytest.raises(ValueError) as error:
+                negativity_xstate(coeffs)
+            assert str(error.value) == str(stack_error)
+        else:
+            raw = float(xstate_negativity_raw(coeffs.b.real, coeffs.c.real, abs(coeffs.f)))
+            value = negativity_xstate(coeffs)
+            assert np.float64(value.raw).tobytes() == np.float64(raw).tobytes()
+            assert value == NegativityValue.from_raw(raw)
 
     def test_from_operator_roundtrip(self, rng):
         coeffs = random_xstate(rng)
@@ -284,15 +349,41 @@ class TestXStateFormula:
 
     def test_from_operator_rejects_non_x(self, rng):
         rho = random_density(rng, (2, 2))
-        with pytest.raises(ValueError, match="X-shaped"):
+        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT}"):
             XStateCoeffs.from_operator(rho)
         m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
         m[0, 1] = np.nan
-        with pytest.raises(ValueError, match="X-shaped"):
+        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
             XStateCoeffs.from_operator(Operator(m, (2, 2)))
         m[0, 1], m[1, 1] = 0.0, complex(0.25, np.nan)
-        with pytest.raises(ValueError, match="not real"):
+        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
             XStateCoeffs.from_operator(Operator(m, (2, 2)))
+
+    def test_from_operator_rejects_a_non_hermitian_corner(self):
+        # rho_30 must be conj(rho_03), within DEFAULT_ALGEBRAIC_TOL
+        m = with_coherence(np.diag([0.25, 0.25, 0.25, 0.25]), 0.2j)
+        m[3, 0] = 0.2j
+        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} 4.000e-01"):
+            XStateCoeffs.from_operator(Operator(m, (2, 2)))
+        m[3, 0] = -0.2j + 1e-11
+        assert XStateCoeffs.from_operator(Operator(m, (2, 2))).f == 0.2j
+
+    def test_from_operator_runs_the_stack_check(self, rng):
+        # refused exactly when the first check of the stack scorer refuses
+        states = xstate_stack(rng, 40)
+        states[::4] += 1e-6 * OFF_PATTERN
+        states[1::4, 3, 0] += 1e-6j
+        states[2::4] *= 1.5  # trace and eigenvalue defects are not checked
+        for m in states:
+            try:
+                _check_x_form(m[None])
+            except ValueError as stack_error:
+                with pytest.raises(ValueError) as error:
+                    XStateCoeffs.from_operator(Operator(m, (2, 2)))
+                assert str(error.value) == str(stack_error)
+            else:
+                coeffs = XStateCoeffs.from_operator(Operator(m, (2, 2)))
+                assert coeffs.to_operator().matrix.tobytes() == m.tobytes()
 
 
 class TestSchmidtAngle:

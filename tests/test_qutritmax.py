@@ -229,6 +229,24 @@ class TestFrontier:
                 fit_I1_of_theta(theta1)
         assert fit_I1_of_theta(0.3 + 0j) == fit_I1_of_theta(0.3)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"grid_points": 1}, "grid_points"),
+            ({"grid_points": 0}, "grid_points"),
+            ({"grid_points": np.nan}, "grid_points"),
+            ({"bins": 0}, "bins"),
+            ({"bins": -3}, "bins"),
+        ],
+    )
+    def test_degenerate_sweep_is_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least"):
+            extract_lower_boundary(**kwargs)
+
+    def test_smallest_sweep(self):
+        boundary = extract_lower_boundary(grid_points=2, bins=1)
+        assert len(boundary.i1p) == 1
+
     def test_extracted_boundary_brackets_line(self):
         boundary = extract_lower_boundary(grid_points=601, bins=300)
         # exact at the endpoints, within 1% (of the value) in between

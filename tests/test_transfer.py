@@ -1,9 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_transfer.entanglement import XStateCoeffs, clamp_negativity, negativities, negativity
+from spin_transfer.model import TransferModel, closed_form_propagator, pair_propagator
 from spin_transfer.qla import POSITIVITY_TOL
 from spin_transfer.qla import Operator, kron
 from spin_transfer.transfer import (
@@ -291,6 +294,42 @@ class TestClosedFormAngles:
         assert closed_form_rho12_qutrit(0.3 + 0j, STATE_A, t) == closed_form_rho12_qutrit(
             0.3, STATE_A, t
         )
+
+
+QUBIT_MODEL, QUTRIT_MODEL = TransferModel.for_source_dim(2), TransferModel.for_source_dim(3)
+QUBIT_SOURCE = QubitPairState(0.5)
+
+#: Every function of an evolution time ``t``, as a function of ``t`` alone
+#: whose result is an array.
+TIME_FORMS = {
+    "pair-propagator-qubit": lambda t: pair_propagator(QUBIT_MODEL, t).matrix,
+    "pair-propagator-qutrit": lambda t: pair_propagator(QUTRIT_MODEL, t).matrix,
+    "closed-form-propagator-qubit": lambda t: closed_form_propagator(QUBIT_MODEL, t).matrix,
+    "closed-form-propagator-qutrit": lambda t: closed_form_propagator(QUTRIT_MODEL, t).matrix,
+    "evolve-reduced-qubit": lambda t: evolve_reduced(QubitPairState(0.3), QUBIT_SOURCE, t).matrix,
+    "evolve-reduced-qutrit": lambda t: evolve_reduced(QubitPairState(0.3), STATE_A, t).matrix,
+    "closed-form-qubit": lambda t: np.array(astuple(closed_form_rho12_qubit(0.3, 0.5, t))),
+    "closed-form-qutrit": lambda t: np.array(astuple(closed_form_rho12_qutrit(0.3, STATE_A, t))),
+}
+
+
+class TestTimeRule:
+    """Every propagator time and both transcriptions take the one rule of
+    qla._real_angle; ``full_evolution`` and ``evolve_reduced`` take it
+    through ``pair_propagator``."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1 + 1j])
+    @pytest.mark.parametrize("form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
+    def test_complex_or_non_finite_time_is_named(self, form, bad):
+        with pytest.raises(ValueError, match="t must be finite and real"):
+            form(bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", TIME_FORMS.values(), ids=TIME_FORMS.keys())
+    def test_zero_imaginary_part_is_dropped_bit_for_bit(self, form):
+        assert form(1 + 0j).tobytes() == form(1.0).tobytes()
+        assert form(np.complex128(1.0)).tobytes() == form(1.0).tobytes()
 
 
 class TestClosedFormQutrit:
