@@ -7,12 +7,14 @@ case, scores every pure-reset step and ``fig2`` row.  A state scores the same
 bits in a stack of any length as alone.  The X-state closed form serves the
 states that keep the X pattern, under one acceptance rule: the checks of
 ``_xstate_negativities``, the density checks of ``negativities`` written for
-that pattern (its least eigenvalue is exact).  They guard a whole time grid
-of ``transfer.entanglement_curve`` and the one-state stack of
-``negativity_xstate``, and their Hermiticity and X-pattern part guards
+that pattern (its least eigenvalue is exact).  It checks and scores a whole
+time grid of ``transfer.entanglement_curve``, and ``negativity_xstate`` is
+its one-state case; its Hermiticity and X-pattern check guards
 ``XStateCoeffs.from_operator``.  The same formula scores the half-period
 quadratic forms behind ``qutritmax.negativity_at_half_period`` and the
-half-period search.
+half-period search.  Every score is clamped to its range by one rule,
+``clamp_negativity``, of which ``NegativityValue.from_raw`` is the
+one-element case.
 """
 
 from __future__ import annotations
@@ -46,11 +48,8 @@ class NegativityValue:
 
     @classmethod
     def from_raw(cls, raw: float, upper: float = 1.0) -> "NegativityValue":
-        if not -POSITIVITY_TOL <= raw <= upper + POSITIVITY_TOL:  # NaN fails too
-            raise ValueError(
-                f"negativity {raw!r} outside [0, {upper}] by more than tol {POSITIVITY_TOL:.1e}"
-            )
-        return cls(min(max(raw, 0.0), upper), raw)
+        """The one-element case of ``clamp_negativity``."""
+        return cls(float(clamp_negativity(raw, upper)), raw)
 
     def __float__(self) -> float:
         return self.value
@@ -86,10 +85,9 @@ class XStateCoeffs:
 
 
 def clamp_negativity(raw, upper: float = 1.0) -> np.ndarray:
-    """The array form of ``NegativityValue.from_raw``: raw negativities
-    clamped to [0, upper], where a value outside that range by more than
-    ``POSITIVITY_TOL``, or a NaN, raises ValueError naming the first one.
-    A -0.0 stays -0.0, as with ``min(max(raw, 0.0), upper)``."""
+    """The one clamp rule: raw negativities clamped to [0, upper], where a
+    value outside that range by more than ``POSITIVITY_TOL``, or a NaN,
+    raises ValueError naming the first one.  A -0.0 stays -0.0."""
     raw = np.asarray(raw, dtype=float)
     inside = (raw >= -POSITIVITY_TOL) & (raw <= upper + POSITIVITY_TOL)
     if not inside.all():
@@ -149,7 +147,8 @@ def _xstate_negativities(states: np.ndarray) -> np.ndarray:
     trace = abs(states.trace(axis1=1, axis2=2) - 1.0)
     _reject("trace defect", trace, trace <= POSITIVITY_TOL)
     a, b, c, d = states.diagonal(axis1=1, axis2=2).real.T
-    f_abs = abs(states[:, 0, 3])
+    f = states[:, 0, 3]
+    f_abs = np.hypot(f.real, f.imag)  # the bits of the scalar abs(complex)
     least = np.minimum(np.minimum(b, c), (a + d) / 2 - np.hypot((a - d) / 2, f_abs))
     _reject("eigenvalue", least, least >= -POSITIVITY_TOL)
     return xstate_negativity_raw(b, c, f_abs)
@@ -181,13 +180,9 @@ def negativity(rho: Operator) -> NegativityValue:
 
 def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:
     """Closed-form negativity of an X state,
-    max(0, sqrt((b - c)^2 + 4 |f|^2) - (b + c)), for coefficients that pass
-    the checks ``_xstate_negativities`` runs on ``coeffs.to_operator()``."""
-    _xstate_negativities(coeffs.to_operator().matrix[None])
-    # scored from the scalars: numpy's vectorized complex abs differs by 1 ulp
-    # from the scalar one on about a third of |f| values; .real drops an
-    # imaginary diagonal part the check let through, as the stack does
-    raw =xstate_negativity_raw(coeffs.b.real, coeffs.c.real, abs(coeffs.f))
+    max(0, sqrt((b - c)^2 + 4 |f|^2) - (b + c)): the one-state case of
+    ``_xstate_negativities`` on ``coeffs.to_operator()``."""
+    raw = _xstate_negativities(coeffs.to_operator().matrix[None])[0]
     return NegativityValue.from_raw(float(raw))
 
 

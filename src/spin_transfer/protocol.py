@@ -80,7 +80,10 @@ def iterate_transfer(
     qutrit source, so ``sp`` must be a ``QutritPairState``.
 
     Both modes collect the ``steps + 1`` scores and the snapshots entering
-    each round, and one comprehension makes the records from them.
+    each round, and one comprehension makes the records from them.  Both
+    take the Schmidt angle of ``e0`` first, so an ``e0`` outside [0, 1] (or
+    NaN) raises the ValueError of ``schmidt_angle_from_negativity`` before
+    any evolution.
 
     In mixed-continuation mode the source channel is checked where it is
     built: unless its rows (x, x) sum to vec(I) within ``POSITIVITY_TOL``
@@ -98,8 +101,6 @@ def iterate_transfer(
             f"iterate_transfer couples for the qutrit half period and needs a"
             f" QutritPairState source, got {type(sp).__name__}"
         )
-    if not 0.0 <= e0 <= 1.0:
-        raise ValueError(f"initial negativity {e0!r} outside [0, 1]")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     mode = canonical_mode(mode)
@@ -110,6 +111,7 @@ def iterate_transfer(
             rho = evolve_reduced(QubitPairState(snapshots[-1]), sp, QUTRIT_HALF_PERIOD)
             scores.append(negativity(rho).value)
     else:
+        snapshots = [QubitPairState(schmidt_angle_from_negativity(e0)).density()]
         channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
         # trace preservation: vec(I) S = vec(I), the rows (x, x) of S sum to vec(I)
         vec_identity = np.eye(4).ravel()
@@ -119,7 +121,6 @@ def iterate_transfer(
                 f"source channel does not preserve the trace: defect {defect:.3e}"
                 f" exceeds tol {POSITIVITY_TOL:.1e}"
             )
-        snapshots = [QubitPairState(schmidt_angle_from_negativity(e0)).density()]
         for _ in range(steps):
             rho = (channel @ snapshots[-1].matrix.ravel()).reshape(4, 4)
             snapshots.append(Operator(rho, (2, 2)))

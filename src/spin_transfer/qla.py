@@ -1,13 +1,12 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
 Immutable operators, tensor products and propagators from the Hermitian
-eigendecomposition, all pure functions.  ``kron`` is one broadcast multiply,
-entry for entry the product ``np.kron`` forms, without its generic set-up.
-``hermitian_eigh`` is the one checked eigendecomposition: ``propagator``
-runs it on every call and is the oracle the tests compare against, while
-``model.TransferModel`` runs it once per source dimension and keeps the
-result, so its pair propagator evaluates only ``spectral_exponential`` and
-its spectral projectors are grouped from the same eigenvectors.
+eigendecomposition, all pure functions.  ``hermitian_eigh`` is the one
+checked eigendecomposition: ``propagator`` runs it on every call and is the
+oracle the tests compare against, while ``model.TransferModel`` runs it once
+per source dimension and keeps the result, so its pair propagator evaluates
+only ``spectral_exponential`` and its spectral projectors are grouped from
+the same eigenvectors.
 The two cuts the physics makes, target pair | source pair
 (``transfer.evolve_and_reduce``, with ``transfer.source_channel`` its form for
 a pure source and the Fourier components of ``transfer.entanglement_curve``
@@ -75,13 +74,8 @@ class Operator:
 
 
 def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; subsystem labels of ``b`` follow those of ``a``.
-
-    One broadcast multiply, laid out as ``np.kron`` lays it out, so every
-    entry is the same single product a[i, j] * b[k, l]."""
-    (m, n), (p, q) = a.matrix.shape, b.matrix.shape
-    product = a.matrix[:, None, :, None] * b.matrix[None, :, None, :]
-    return Operator(product.reshape(m * p, n * q), a.dims + b.dims)
+    """Tensor product; subsystem labels of ``b`` follow those of ``a``."""
+    return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def hermitian_eigh(h: Operator) -> tuple[np.ndarray, np.ndarray]:

@@ -363,21 +363,21 @@ def entanglement_curve(
     t))``, the oracle, within 2.1e-13 for |t| <= 1e3 (measured on 2400
     random points; both routes carry about |t| * eps of phase rounding), and
     with the former route through the stack of evolved pure states and
-    ``negativities`` within 5.6e-16 on the 601-point default grids (13
+    ``negativities`` within 6.7e-16 on the 601-point default grids (13
     target angles in [-3, 3], six sources).
 
-    Raises ValueError naming the first time with a non-zero imaginary part,
-    then the first with a phase m * Delta * t that is not finite (NaN,
-    +-inf, or an overflow), before any evolution.
+    Raises ValueError, before any evolution, naming the first time that
+    ``qla._real_angle`` refuses (a non-zero imaginary part, NaN or +-inf),
+    then the first finite time whose phase m * Delta * t overflows.
     """
     times = np.asarray(t_grid)
-    imaginary = np.flatnonzero(times.imag.ravel() != 0.0)
-    if imaginary.size:
-        index = imaginary[0]
-        raise ValueError(f"time {complex(times.flat[index])!r} at index {index} is not real")
+    flat = times.ravel()
+    bad = np.flatnonzero((flat.imag != 0.0) | ~np.isfinite(flat.real))
+    if bad.size:  # the rule of _real_angle refuses this time
+        _real_angle(f"time at index {bad[0]}", flat[bad[0]].item())
     times = np.asarray(times.real, dtype=float)
     lo, hi = model_for_source(sp).pair_eigenvalues
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         phases = np.multiply.outer(times.ravel(), -(hi - lo) * _FOURIER_ORDERS)
     bad = np.flatnonzero(~np.isfinite(phases).all(axis=1))
     if bad.size:

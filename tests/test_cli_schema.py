@@ -46,11 +46,14 @@ SAMPLE = {
     "steps": "2",
     "mode": "mixed",
 }
-ALL_SETTINGS = sorted({s.name for c in COMMANDS.values() for s in c.settings} | {"seed"})
 
 
 def names_of(command: str) -> list[str]:
-    return ["seed"] + [s.name for s in COMMANDS[command].settings]
+    """The settings of ``command``'s schema besides --out."""
+    return [s.name for s in COMMANDS[command].schema() if s.name != "out"]
+
+
+ALL_SETTINGS = sorted({name for command in COMMANDS for name in names_of(command)})
 
 
 def flag(name: str) -> str:

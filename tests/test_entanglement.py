@@ -194,6 +194,17 @@ class TestXStateStack:
         assert closed.shape == (n,)
         assert np.abs(closed - generic).max() <= 1e-14
 
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_each_state_scores_as_negativity_xstate(self, n, seed):
+        # negativity_xstate is the one-state case: the same raw bits as the
+        # state gets in a stack of any length
+        states = xstate_stack(np.random.default_rng(seed), n)
+        stacked = _xstate_negativities(states)
+        coeffs = [XStateCoeffs.from_operator(Operator(m, (2, 2))) for m in states]
+        alone = [negativity_xstate(c).raw for c in coeffs]
+        assert stacked.tobytes() == np.array(alone).tobytes()
+
     def test_empty_stack(self):
         raws = _xstate_negativities(np.zeros((0, 4, 4), dtype=complex))
         assert raws.shape == (0,)

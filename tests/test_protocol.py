@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spin_transfer.protocol as protocol
+import spin_transfer.transfer as transfer
 from spin_transfer.entanglement import negativity, schmidt_angle_from_negativity
 from spin_transfer.protocol import (
     MODE_MIXED,
@@ -142,6 +143,25 @@ class TestValidation:
             iterate_transfer(1.5, STATE_A, 1)
         with pytest.raises(ValueError, match="step"):
             iterate_transfer(0.2, STATE_A, 0)
+
+    @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
+    @pytest.mark.parametrize("e0", [1.5, -0.1, np.nan])
+    def test_bad_e0_raises_before_any_evolution(self, mode, e0, monkeypatch):
+        calls = []
+        original = protocol.full_evolution
+
+        def counted(model, t):
+            calls.append(t)
+            return original(model, t)
+
+        # pure reset evolves through transfer.evolve_reduced, mixed mode here
+        monkeypatch.setattr(protocol, "full_evolution", counted)
+        monkeypatch.setattr(transfer, "full_evolution", counted)
+        with pytest.raises(ValueError, match=rf"^negativity {e0!r} outside \[0, 1\]$"):
+            iterate_transfer(e0, STATE_A, 2, mode)
+        assert calls == []
+        iterate_transfer(0.2, STATE_A, 2, mode)
+        assert calls
 
     @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
     def test_rejects_qubit_source(self, mode):

@@ -70,8 +70,8 @@ class TestKron:
         "da,db", [((4,), (9,)), ((2, 2), (3, 3)), ((2,), (3,)), ((3,), (2,)), ((1,), (6,))]
     )
     def test_bit_for_bit_np_kron(self, rng, da, db):
-        """The broadcast product is np.kron entry for entry, bits included;
-        (4 x 4) x (9 x 9) is the mixed staircase's target x source state."""
+        """kron is np.kron entry for entry, bits included, with the dims of
+        ``b`` after those of ``a``."""
         for _ in range(20):
             a, b = random_hermitian(rng, da), random_density(rng, db)
             out = kron(a, b)

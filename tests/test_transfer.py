@@ -415,13 +415,15 @@ class TestEntanglementCurve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_is_named(self, sp, bad):
         grid = [0.0, 1.0, bad, np.nan]
-        with pytest.raises(ValueError, match=f"time {bad!r} at index 2 has a non-finite phase"):
+        message = f"time at index 2 must be finite and real, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
             entanglement_curve(QubitPairState(0.3), sp, grid)
 
     @pytest.mark.parametrize("sp", [QubitPairState(np.pi / 4), STATE_A], ids=["qubit", "qutrit"])
     def test_complex_time_is_named(self, sp):
         # the cast to float would score t = 1.0
-        with pytest.raises(ValueError, match=r"time \(1\+2j\) at index 1 is not real"):
+        message = r"time at index 1 must be finite and real, got \(1\+2j\)"
+        with pytest.raises(ValueError, match=message):
             entanglement_curve(QubitPairState(0.3), sp, np.array([0, 1 + 2j]))
 
     def test_complex_dtype_with_zero_imaginary_part_is_scored(self):
