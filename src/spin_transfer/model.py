@@ -66,14 +66,15 @@ def heisenberg_pair(source_dim: int) -> Operator:
 
 
 def spectral_projectors(
-    eigh: tuple[np.ndarray, np.ndarray], eigenvalues: tuple[float, float], dims: tuple[int, ...]
-) -> tuple[Operator, Operator]:
-    """Projectors (P_minus, P_plus) = V V^dagger over the columns of v whose
-    eigenvalue in ``eigh`` = (w, v) lies within ``DEFAULT_ALGEBRAIC_TOL`` of
-    lambda_minus and of lambda_plus, the two ``eigenvalues``.  Orthonormal
-    columns make P^2 = P, P_minus P_plus = 0 and P_minus + P_plus = I hold by
-    construction; a ValueError names the first eigenvalue near neither, so
-    h = lambda_minus P_minus + lambda_plus P_plus holds too.
+    eigh: tuple[np.ndarray, np.ndarray], eigenvalues: tuple[float, float]
+) -> np.ndarray:
+    """Read-only (2, n, n) stack of the projectors (P_minus, P_plus) = V V^dagger
+    over the columns of v whose eigenvalue in ``eigh`` = (w, v) lies within
+    ``DEFAULT_ALGEBRAIC_TOL`` of lambda_minus and of lambda_plus, the two
+    ``eigenvalues``.  Orthonormal columns make P^2 = P, P_minus P_plus = 0 and
+    P_minus + P_plus = I hold by construction; a ValueError names the first
+    eigenvalue near neither, so h = lambda_minus P_minus + lambda_plus P_plus
+    holds too.
     """
     w, v = eigh
     near = [np.abs(w - value) <= DEFAULT_ALGEBRAIC_TOL for value in eigenvalues]
@@ -83,7 +84,9 @@ def spectral_projectors(
             f"eigenvalues {eigenvalues} do not split the Hamiltonian: eigenvalue "
             f"{float(w[stray[0]])!r} is farther than tol {DEFAULT_ALGEBRAIC_TOL:.1e} from both"
         )
-    return tuple(Operator(v[:, cols] @ v[:, cols].conj().T, dims) for cols in near)
+    projectors = np.stack([v[:, cols] @ v[:, cols].conj().T for cols in near])
+    projectors.setflags(write=False)
+    return projectors
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,8 @@ class TransferModel:
     J = S -+ 1/2, has the two ``pair_eigenvalues`` -(S + 1)/2 and S/2: -3/4
     and 1/4 for a qubit source, -1 and 1/2 for a qutrit source.  The pair
     propagator is u(t) = exp(-i lambda_minus t) P_minus
-    + exp(-i lambda_plus t) P_plus with the ``pair_projectors``.
+    + exp(-i lambda_plus t) P_plus with the ``pair_projectors``, the
+    read-only (2, 2d, 2d) stack (P_minus, P_plus).
 
     ``pair_eigh`` is the read-only eigendecomposition (w, v) of the pair
     Hamiltonian from ``qla.hermitian_eigh``; ``pair_propagator`` evaluates
@@ -104,7 +108,7 @@ class TransferModel:
     source_dim: int
     pair_hamiltonian: Operator
     pair_eigenvalues: tuple[float, float]
-    pair_projectors: tuple[Operator, Operator]
+    pair_projectors: np.ndarray
     pair_eigh: tuple[np.ndarray, np.ndarray]
 
     @classmethod
@@ -119,7 +123,7 @@ class TransferModel:
         eigh = hermitian_eigh(h)
         for array in eigh:
             array.setflags(write=False)
-        return cls(source_dim, h, eigenvalues, spectral_projectors(eigh, eigenvalues, h.dims), eigh)
+        return cls(source_dim, h, eigenvalues, spectral_projectors(eigh, eigenvalues), eigh)
 
 
 def closed_form_propagator(model: TransferModel, t: float) -> Operator:

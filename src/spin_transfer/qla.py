@@ -64,10 +64,6 @@ class Operator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def hermiticity_defect(self) -> float:
         """Largest entrywise deviation from self-adjointness."""
         return float(np.abs(self.matrix - self.matrix.conj().T).max())

@@ -141,14 +141,15 @@ SourceState = Union[QubitPairState, QutritPairState]
 
 @dataclass(frozen=True)
 class TransferTrace:
-    """Time series of target-pair negativity for one scenario."""
+    """Time series of target-pair negativity for one scenario; it keeps its
+    own read-only float copies of both arrays."""
 
     times: np.ndarray
     negativities: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.negativities, dtype=float)
+        times = np.array(self.times, dtype=float)
+        values = np.array(self.negativities, dtype=float)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and negativities must be 1-d arrays of equal length")
         if times.size >= 2 and not np.all(np.diff(times) > 0):
@@ -329,7 +330,7 @@ def _spectral_components(tp: QubitPairState, sp: SourceState) -> np.ndarray:
     R_{-m} = R_m^dagger."""
     model = model_for_source(sp)
     d = model.source_dim
-    p = np.stack([q.matrix for q in model.pair_projectors])
+    p = model.pair_projectors
     psi0 = tp.state_vector().reshape(2, 2)
     source0 = sp.state_vector().reshape(d, d)
     w = (psi0[:, None, :, None] * source0[None, :, None, :]).reshape(2 * d, 2 * d)

@@ -455,6 +455,26 @@ class TestEntanglementCurve:
         with pytest.raises(ValueError, match="equal length"):
             TransferTrace(np.array([0.0, 1.0]), np.array([0.0]))
 
+    def test_curve_leaves_the_grid_writable(self):
+        grid = np.linspace(0.0, 2.0, 5)
+        trace = entanglement_curve(QubitPairState(0.3), STATE_A, grid)
+        assert grid.flags.writeable
+        assert not np.shares_memory(trace.times, grid)
+
+    def test_curve_times_do_not_follow_the_grid_they_view(self):
+        full = np.linspace(0.0, 4.0, 9)
+        trace = entanglement_curve(QubitPairState(0.3), STATE_A, full[::2])
+        full[0] = -1.0
+        assert trace.times[0] == 0.0
+
+    def test_trace_copies_its_arrays(self):
+        times, values = np.array([0.0, 1.0]), np.array([0.5, 0.25])
+        trace = TransferTrace(times, values)
+        assert times.flags.writeable and values.flags.writeable
+        times[0], values[0] = -1.0, 0.0
+        assert trace.times[0] == 0.0 and trace.negativities[0] == 0.5
+        assert not trace.times.flags.writeable and not trace.negativities.flags.writeable
+
     def test_default_grid(self):
         grid = default_time_grid(QUBIT_SOURCE_PERIOD)
         assert grid.size == 601
@@ -467,7 +487,7 @@ def pure_state_curve(tp: QubitPairState, sp, times: np.ndarray) -> np.ndarray:
     trace by one einsum, and the generic ``negativities``."""
     model = model_for_source(sp)
     d = model.source_dim
-    p = np.stack([q.matrix for q in model.pair_projectors]).reshape(2, 2, d, 2, d)
+    p = model.pair_projectors.reshape(2, 2, d, 2, d)
     psi0 = tp.state_vector().reshape(2, 2)
     source0 = sp.state_vector().reshape(d, d)
     parts = np.einsum("xaiAI,ybjBJ,AB,IJ->xyabij", p, p, psi0, source0).reshape(2, 2, 4, d * d)

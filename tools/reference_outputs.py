@@ -2,17 +2,28 @@
 
     python tools/reference_outputs.py OUTDIR
 
-Each invocation runs ``python -m spin_transfer.cli`` from this checkout's
-``src`` in its own subdirectory of OUTDIR, with relative output paths, so
-the files (sibling ``_maxima`` and ``_foldline`` files included) and the
-captured standard output do not depend on where OUTDIR is.  Standard output
-of every run goes to ``OUTDIR/stdout.txt``.  The script prints one
-``<sha256>  <path relative to OUTDIR>`` line per file, sorted by path, so two
-checkouts produce byte-identical outputs exactly when their listings match:
+Each invocation runs ``python -m spin_transfer.cli`` from the ``src`` next
+to this script's ``tools`` directory, in its own subdirectory of OUTDIR,
+with relative output paths, so the files (sibling ``_maxima`` and
+``_foldline`` files included) and the captured standard output do not depend
+on where OUTDIR is.  Standard output of every run goes to
+``OUTDIR/stdout.txt``.  The script prints one ``<sha256>  <path relative to
+OUTDIR>`` line per file, sorted by path, so two source trees produce
+byte-identical outputs exactly when their listings match.
 
-    python tools/reference_outputs.py /tmp/a > a.txt   # in one checkout
-    python tools/reference_outputs.py /tmp/b > b.txt   # in the other
-    diff a.txt b.txt
+To compare two commits, run this checkout's script on both trees: copy it
+into the other tree's ``tools`` directory and run the copy, so one listing
+of invocations measures both ``src`` trees and an entry added to
+``INVOCATIONS`` is run on both sides:
+
+    cp tools/reference_outputs.py ../base/tools/
+    python ../base/tools/reference_outputs.py /tmp/old > old.txt
+    python tools/reference_outputs.py /tmp/new > new.txt
+    diff old.txt new.txt
+
+The other tree's CLI must accept every invocation, so an invocation that
+uses a flag new in this checkout can join the listing only one commit
+after the flag.
 
 It exits 1 if an invocation fails, writes anything to standard error (a
 warning, say), or OUTDIR already holds files, and 2 without exactly one
@@ -41,6 +52,16 @@ INVOCATIONS = (
     ("07-iterate", ["iterate", "--mode", "mixed", "--sp", "B", "--steps", "6"]),
     ("08-maximize", ["maximize", "--theta1", "pi/8"]),
     ("09-verify", ["verify"]),
+    # the mixed staircase over 12 steps from a source other than A, B or C
+    ("10-iterate", ["iterate", "--mode", "mixed", "--sp", "0.6,0.5,0.3", "--steps", "12"]),
+    # its round 0 ties two columns on the top value, so this guards the tie order
+    ("11-maximize", ["maximize", "--theta1", "-0.5", "--budget", "7:4:3"]),
+    # a seed other than 09-verify's 0: its sampled X states pass through
+    # negativity_xstate's checks
+    ("12-verify", ["verify", "--seed", "1"]),
+    # inputs outside the two fig2 runs above: its E12 column goes through
+    # NegativityValue.from_raw
+    ("13-fig2", ["fig2", "--theta1", "0.4", "--theta2", "1.1", "--t-points", "301"]),
 )
 
 
