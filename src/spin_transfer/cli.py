@@ -17,6 +17,7 @@ mandatory verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -405,6 +406,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="spin-transfer",

@@ -28,7 +28,7 @@ from .entanglement import (
     schmidt_angle_from_negativity,
 )
 from .model import full_evolution
-from .qla import POSITIVITY_TOL, Operator
+from .qla import POSITIVITY_TOL, Operator, _count
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     QubitPairState,
@@ -101,7 +101,7 @@ def iterate_transfer(
             f"iterate_transfer couples for the qutrit half period and needs a"
             f" QutritPairState source, got {type(sp).__name__}"
         )
-    if steps < 1:
+    if _count("steps", steps) < 1:
         raise ValueError(f"need at least one step, got {steps}")
     mode = canonical_mode(mode)
     if mode == MODE_PURE_RESET:

@@ -17,6 +17,7 @@ to the state layouts they depend on.  Dimensions stay tiny (at most 36).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isfinite, prod
 
@@ -35,6 +36,15 @@ def _real_angle(name: str, value: float) -> float:
     if z.imag != 0 or not isfinite(z.real):
         raise ValueError(f"{name} must be finite and real, got {value!r}")
     return z.real
+
+
+def _count(name: str, value: int) -> int:
+    """``value`` as an int, the one rule for a count: ``operator.index``,
+    so a numpy integer is taken and 2.5 raises ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

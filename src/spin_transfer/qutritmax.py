@@ -12,8 +12,8 @@ At the half period the evolved four-particle state is linear in the source
 amplitudes k, so the target pair's X-state coefficients are quadratic forms
 b = k^T B k, c = k^T C k and f = k^T F k with 3x3 matrices that depend on the
 target angle alone (B == C up to rounding).  They are built from columns of
-``model.full_evolution`` and are the only half-period route:
-``negativity_at_half_period`` and the search both score with them.
+``model.full_evolution`` and are the only half-period route: the search scores
+its grids with them, and ``negativity_at_half_period`` one ``QutritPairState``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 
 from .entanglement import xstate_negativity_raw
 from .model import TransferModel, full_evolution
-from .qla import POSITIVITY_TOL, _real_angle
+from .qla import POSITIVITY_TOL, _count, _real_angle
 from .transfer import (
-    NORMALIZATION_TOL,
     QUTRIT_HALF_PERIOD,
     STATE_A,
     STATE_B,
@@ -83,7 +82,7 @@ def sample_physical_region(
     The first samples are the distinguished states A, B, C; the remainder is
     a seeded uniform (Dirichlet) fill of the simplex interior.
     """
-    if n < 1:
+    if _count("n", n) < 1:
         raise ValueError("need at least one sample")
     states = [STATE_A, STATE_B, STATE_C][:n]
     rng = np.random.default_rng(seed)
@@ -93,36 +92,20 @@ def sample_physical_region(
     return [(s, invariants(s)) for s in states]
 
 
-def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.ndarray:
-    """Target-pair negativity after one half period with a qutrit source.
+def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.float64:
+    """Target-pair negativity after one half period with a qutrit source:
+    the raw X-state negativity of one Schmidt amplitude column, scored with
+    the 3x3 forms of ``_half_period_forms``.
 
-    ``amplitudes`` has shape (3,) or (3, N), one Schmidt amplitude column
-    per source state; returns a scalar array or a length-N vector of raw
-    X-state negativities, scored with the 3x3 forms of ``_half_period_forms``.
-
-    Raises ValueError for a leading dimension other than 3, then for a
-    ``theta1`` that ``_half_period_forms`` refuses, then for the first column
-    that ``QutritPairState`` would refuse: a non-real or negative entry, or a
-    sum of squares off 1 by more than ``NORMALIZATION_TOL`` (NaN included).
+    Raises ValueError for any shape but (3,), then for a ``theta1`` that the
+    forms refuse, then for a column that ``QutritPairState`` refuses.
     """
     amps = np.asarray(amplitudes)
-    squeeze = amps.ndim == 1
-    if squeeze:
-        amps = amps[:, None]
-    if amps.shape[0] != 3:
-        raise ValueError(f"amplitudes must have leading dimension 3, got {amps.shape}")
+    if amps.shape != (3,):
+        raise ValueError(f"amplitudes must have shape (3,), got {amps.shape}")
     forms = _half_period_forms(theta1)
-    real = np.asarray(amps.real, dtype=float)
-    off_norm = ~(np.abs(np.einsum("in,in->n", real, real) - 1.0) <= NORMALIZATION_TOL)
-    bad = np.flatnonzero(((real < 0.0) | (amps.imag != 0.0)).any(axis=0) | off_norm)
-    if bad.size:
-        column = bad[0]
-        raise ValueError(
-            f"amplitude column {column} = {tuple(amps[:, column].tolist())} is not a real "
-            f"non-negative column with unit sum of squares (tol {NORMALIZATION_TOL:.0e})"
-        )
-    values = _form_negativity(forms, real)
-    return values[0] if squeeze else values
+    state = QutritPairState(*amps.tolist())
+    return _form_negativity(forms, state.amplitudes()[:, None])[0]
 
 
 @functools.cache
@@ -177,6 +160,8 @@ class SearchBudget:
     shrink: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in ("coarse", "refinements"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.coarse < 2 or self.refinements < 0 or not 1.0 < self.shrink < np.inf:
             raise ValueError(f"invalid search budget {self}")
 
@@ -319,11 +304,12 @@ class LowerBoundary:
 def extract_lower_boundary(grid_points: int = 1201, bins: int = 600) -> LowerBoundary:
     """Sweep the amplitude simplex densely and record, per I1' bin, the
     sample of least I2' (at its own abscissa, which avoids binning bias).
-    A sweep with fewer than 2 ``grid_points`` or 1 bin raises ValueError."""
+    A count below 2 ``grid_points`` or 1 bin, or not an integer, raises ValueError."""
     if not grid_points >= 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
     if not bins >= 1:
         raise ValueError(f"bins must be at least 1, got {bins!r}")
+    grid_points, bins = _count("grid_points", grid_points), _count("bins", bins)
     axis = np.linspace(0.0, np.pi / 2, grid_points)
     p = _grid_amplitudes(axis, axis) ** 2
     i1 = (p**2).sum(axis=0)

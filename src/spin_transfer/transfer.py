@@ -33,7 +33,7 @@ import numpy as np
 
 from .entanglement import XStateCoeffs, _xstate_negativities, clamp_negativity
 from .model import TransferModel, full_evolution
-from .qla import Operator, _real_angle
+from .qla import Operator, _count, _real_angle
 
 QUBIT_SOURCE_PERIOD = 2.0 * np.pi
 QUTRIT_SOURCE_PERIOD = 4.0 * np.pi / 3.0
@@ -284,12 +284,12 @@ def qutrit_closed_form_discrepancy(
     the numeric pipeline over a deterministic sample of (theta1, k, t).
 
     Includes the revival endpoints t = 0 and t = 4*pi/3, where the two
-    routes agree exactly.
+    routes agree exactly.  ``n_samples`` must be an integer.
     """
     rng = np.random.default_rng(seed)
     rows: list[dict[str, float]] = []
     special_t = (0.0, QUTRIT_HALF_PERIOD, QUTRIT_SOURCE_PERIOD)
-    for i in range(n_samples):
+    for i in range(_count("n_samples", n_samples)):
         theta1 = rng.uniform(0.0, np.pi / 4)
         amps = np.sqrt(rng.dirichlet((1.0, 1.0, 1.0)))
         sp = QutritPairState(*amps)

@@ -7,6 +7,7 @@ import pytest
 
 from spin_transfer.cli import (
     ConfigError,
+    build_parser,
     main,
     parse_angle,
     parse_budget,
@@ -239,6 +240,19 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert main(["fig2", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    """A refused flag and another command between two identical fig2 runs
+    leave the cached parser as it was: the second file is the first."""
+    argv = ["fig2", "--theta1", "-pi/6", "--t-points", "11", "--out"]
+    assert main(argv + [str(tmp_path / "first.csv")]) == 0
+    assert main(["fig2", "--no-such-flag", "1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert main(["maximize", "--budget", "4:1:2", "--out", str(tmp_path / "m.json")]) == 0
+    assert main(argv + [str(tmp_path / "second.csv")]) == 0
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    assert build_parser() is build_parser()
 
 
 def test_module_entry_point(tmp_path):

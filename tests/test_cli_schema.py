@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -182,6 +183,45 @@ def test_work_size_limits_are_accepted():
         assert settings_by_name[name].parse(str(limit)) == limit
     assert parse_budget(f"{COARSE_LIMIT}:0:2").coarse == COARSE_LIMIT
     assert parse_budget(f"2:{REFINEMENTS_LIMIT}:2").refinements == REFINEMENTS_LIMIT
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_command_line_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text[text.index("## Command line") : text.index("```sh", text.index("## Command line"))]
+
+
+def test_readme_command_table_matches_the_command_table():
+    rows = re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|$", readme_command_line_section(), re.M)
+    assert [name for name, _, _ in rows] == list(COMMANDS)
+    for name, flags, suffixes in rows:
+        assert re.findall(r"--[\w-]+", flags) == [s.flag for s in COMMANDS[name].settings], name
+        assert tuple(re.findall(r"`(\.\w+)`", suffixes)) == COMMANDS[name].suffixes, name
+
+
+def test_readme_ranges_are_the_cli_limits():
+    """Each range in the README's exit-2 paragraph is its ``*_LIMIT``
+    constant, and its parser takes both ends and refuses one beyond each."""
+    section = readme_command_line_section()
+    (angle_limit,) = re.findall(r"at most\s+(\S+)\s+in magnitude", section)
+    assert float(angle_limit) == cli.ANGLE_LIMIT
+    ranges = re.findall(r"`(--[\w-]+)` (\d+) to (\d+)", section)
+    ranges += re.findall(r"(coarse|refinements) (\d+) to (\d+)", section)
+    names = [f"{field.strip('-').replace('-', '_').upper()}_LIMIT" for field, _, _ in ranges]
+    assert set(names) == {name for name in vars(cli) if name.endswith("_LIMIT")} - {"ANGLE_LIMIT"}
+    assert re.findall(r"`cli\.(\w+_LIMIT)`", section) == names
+    parsers = {s.flag: s.parse for c in COMMANDS.values() for s in c.settings}
+    parsers["coarse"] = lambda n: parse_budget(f"{n}:0:2")
+    parsers["refinements"] = lambda n: parse_budget(f"2:{n}:2")
+    for name, (field, lo, hi) in zip(names, ranges):
+        assert int(hi) == getattr(cli, name), name
+        for accepted in (int(lo), int(hi)):
+            parsers[field](str(accepted))
+        for refused in (int(lo) - 1, int(hi) + 1):
+            with pytest.raises(ConfigError):
+                parsers[field](str(refused))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""The half-period quadratic forms: the public kernel and the search that
-score with them against a test-local copy of the 36x36 kernel they replaced
+"""The half-period quadratic forms: their batch scores and the search that
+ranks with them against a test-local copy of the 36x36 kernel they replaced
 (and of the search that took cosines and sines at every grid point), the
 forms against the density pipeline, and the exact maximum they certify."""
 
@@ -17,6 +17,7 @@ from spin_transfer.qutritmax import (
     SearchBudget,
     _grid_amplitudes,
     _SEED_AMPLITUDES,
+    _form_negativity,
     _half_period_columns,
     _half_period_forms,
     maximize_E12_half_period,
@@ -87,7 +88,13 @@ def meshgrid_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     )
 
 
-def full_batch_maximize(theta1: float, budget: SearchBudget, score=negativity_at_half_period):
+def form_scores(theta1: float, amplitudes: np.ndarray) -> np.ndarray:
+    """The forms' scores of (3, N) amplitude columns, unchecked: the code
+    the public kernel ran on a batch when it still took one."""
+    return _form_negativity(_half_period_forms(theta1), amplitudes)
+
+
+def full_batch_maximize(theta1: float, budget: SearchBudget, score=form_scores):
     """The search as it was before the forms ranked it: every grid point
     scored with ``score`` in one batch, same selection rule."""
     lo = np.array([0.0, 0.0])
@@ -199,8 +206,8 @@ class TestForms:
         b, c, f = _half_period_forms(theta1)
         assert np.abs(b - c).max() <= 1e-14
         assert max(np.abs(q - q.T).max() for q in (b, c, f)) <= 1e-15
-        kernel = negativity_at_half_period(theta1, amps)
-        assert np.abs(kernel - oracle_negativity(theta1, amps)).max() <= 1e-14
+        scores = _form_negativity((b, c, f), amps)
+        assert np.abs(scores - oracle_negativity(theta1, amps)).max() <= 1e-14
 
     @pytest.mark.parametrize("theta1", [0.0, 0.3, np.pi / 4, -1.1])
     def test_forms_match_the_density_pipeline_by_polarization(self, theta1):

@@ -164,6 +164,17 @@ class TestValidation:
         assert calls
 
     @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
+    def test_step_count_is_an_integer(self, mode, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "full_evolution", lambda *args: calls.append(args))
+        monkeypatch.setattr(transfer, "full_evolution", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
+            iterate_transfer(0.2, STATE_A, 2.5, mode)
+        assert calls == []
+        monkeypatch.undo()
+        assert after_values(0.2, STATE_A, np.int64(2), mode) == after_values(0.2, STATE_A, 2, mode)
+
+    @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
     def test_rejects_qubit_source(self, mode):
         # the rounds last the qutrit half period 2pi/3, which for a qubit
         # source gives a falling staircase (pure reset from e0 = 0.2: 0.501,

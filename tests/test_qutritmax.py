@@ -1,11 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spin_transfer.entanglement import negativity
 from spin_transfer.qutritmax import (
     FIG3_THETA_GRID,
     InvariantPoint,
     SearchBudget,
+    _form_negativity,
+    _half_period_forms,
     emax_is_nondecreasing,
     extract_lower_boundary,
     fit_I1_of_theta,
@@ -26,6 +32,30 @@ from spin_transfer.transfer import (
 )
 
 SMALL_BUDGET = SearchBudget(coarse=30, refinements=2, shrink=5.0)
+
+
+@st.composite
+def amplitude_columns(draw) -> tuple:
+    """Three Python scalars of one type, as ``tolist`` gives a column back:
+    a non-negative direction, with zeros of either sign, scaled to within
+    2e-12 of unit norm, some entries then negated or made NaN or infinite, and
+    the whole column cast to complex with zero or non-zero imaginary parts;
+    or three bools."""
+    kind = draw(st.sampled_from(["float", "complex", "bool"]))
+    if kind == "bool":
+        return draw(st.tuples(*[st.booleans()] * 3))
+    direction = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3)))
+    for i in draw(st.sets(st.integers(0, 2), max_size=2)):
+        direction[i] = draw(st.sampled_from([0.0, -0.0]))
+    assume(direction.sum() > 1e-3)
+    scale = np.sqrt(1.0 + draw(st.floats(-2e-12, 2e-12)))
+    k = (direction / np.linalg.norm(direction) * scale).tolist()
+    for i in draw(st.sets(st.integers(0, 2), max_size=2)):
+        k[i] = draw(st.sampled_from([-k[i], np.nan, np.inf, -np.inf]))
+    if kind == "complex":
+        imag = st.sampled_from([0.0, -0.0, 1e-300, -0.25])
+        k = [complex(v, draw(imag)) for v in k]
+    return tuple(k)
 
 
 class TestInvariants:
@@ -84,6 +114,11 @@ class TestSampleRegion:
         with pytest.raises(ValueError):
             sample_physical_region(0)
 
+    def test_count_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+            sample_physical_region(2.5)
+        assert sample_physical_region(np.int64(5)) == sample_physical_region(5)
+
 
 class TestHalfPeriodEvaluator:
     def test_matches_generic_pipeline(self, rng):
@@ -94,41 +129,71 @@ class TestHalfPeriodEvaluator:
             rho = evolve_reduced(QubitPairState(theta1), QutritPairState(*amps), QUTRIT_HALF_PERIOD)
             assert fast == pytest.approx(negativity(rho).value, abs=1e-12)
 
-    def test_batch_shape(self):
-        amps = np.column_stack([STATE_A.amplitudes(), STATE_B.amplitudes()])
-        values = negativity_at_half_period(0.3, amps)
-        assert values.shape == (2,)
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 1), (1, 3), (2,), (4,), (), (2, 4)])
+    def test_refuses_any_shape_but_one_column(self, shape):
+        # each column of a (3, N) batch here is a valid source state
+        message = rf"^amplitudes must have shape \(3,\), got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            negativity_at_half_period(0.3, np.full(shape, 1 / np.sqrt(3)))
 
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="leading dimension 3"):
-            negativity_at_half_period(0.3, np.ones((2, 4)))
-
-    @pytest.mark.parametrize("column", [(1.0, 1.0, 1.0), (1.0, -1.0, 0.0)])
-    def test_rejects_unnormalized_or_signed_column(self, column):
-        amps = np.column_stack([STATE_A.amplitudes(), column])
-        with pytest.raises(ValueError, match=r"amplitude column 1 = \(1\.0, "):
-            negativity_at_half_period(0.3, amps)
-        with pytest.raises(ValueError, match="amplitude column 0"):
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ((1.0, 1.0, 1.0), r"not normalized: sum of squares is 3\.0 \(tol 1e-12\)"),
+            ((1.0, -1.0, 0.0), r"amplitude k1 = -1\.0 is not a non-negative real number"),
+        ],
+    )
+    def test_rejects_unnormalized_or_signed_column(self, column, message):
+        with pytest.raises(ValueError, match=message):
             negativity_at_half_period(0.3, np.array(column))
+        with pytest.raises(ValueError, match=message):
+            negativity_at_half_period(0.3, column)
 
     def test_rejects_complex_column(self):
         # sum |k|^2 = 1.25; the cast to float would score (0.6, 0.8, 0)
         column = np.array([0.6, 0.8, 0.5j])
-        amps = np.column_stack([STATE_A.amplitudes(), column])
-        with pytest.raises(ValueError, match=r"column 1 = \(\(0\.6\+0j\), .* is not a real"):
-            negativity_at_half_period(0.3, amps)
-        with pytest.raises(ValueError, match="amplitude column 0 = .* is not a real"):
+        with pytest.raises(ValueError, match=r"amplitude k2 = 0\.5j is not a non-negative real"):
             negativity_at_half_period(0.3, column)
 
-    def test_complex_dtype_with_zero_imaginary_part_is_scored(self):
-        amps = np.column_stack([STATE_A.amplitudes(), STATE_B.amplitudes()])
-        assert np.array_equal(
-            negativity_at_half_period(0.3, amps.astype(complex)),
-            negativity_at_half_period(0.3, amps),
-        )
-        assert np.array_equal(
-            negativity_at_half_period(0.3 + 0j, amps), negativity_at_half_period(0.3, amps)
-        )
+    @pytest.mark.parametrize("state", [STATE_A, STATE_B, STATE_C])
+    def test_complex_dtype_with_zero_imaginary_part_is_scored(self, state):
+        want = negativity_at_half_period(0.3, state.amplitudes())
+        assert type(want) is np.float64
+        column = state.amplitudes()
+        for column, theta1 in ((column.astype(complex), 0.3), (column, 0.3 + 0j)):
+            assert negativity_at_half_period(theta1, column).tobytes() == want.tobytes()
+
+    def test_pinned_columns_get_the_verdict_of_the_state(self):
+        # the sum of squares is 1 - 1e-12 to within an ulp, and its rounding
+        # depends on the order of the sum: QutritPairState accepts the first
+        # column and refuses the second
+        accepted = (0.2848737660748837, 0.5395209147238005, 0.7923156694000858)
+        refused = (0.5230339381273594, 0.7563272615147972, 0.39294347310460964)
+        state = QutritPairState(*accepted)
+        value = negativity_at_half_period(0.3, np.array(accepted))
+        rho = evolve_reduced(QubitPairState(0.3), state, QUTRIT_HALF_PERIOD)
+        assert float(value) == pytest.approx(negativity(rho).value, abs=1e-12)
+        message = r"^amplitudes not normalized: sum of squares is 0\.9999999999989999 "
+        with pytest.raises(ValueError, match=message):
+            QutritPairState(*refused)
+        with pytest.raises(ValueError, match=message):
+            negativity_at_half_period(0.3, np.array(refused))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.floats(-3.0, 3.0), amplitude_columns())
+    def test_kernel_applies_the_state_rule(self, theta1, k):
+        try:
+            QutritPairState(*k)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                negativity_at_half_period(theta1, np.array(k))
+            assert str(refused.value) == str(exc)
+            return
+        column = np.array([complex(v).real for v in k])
+        want = _form_negativity(_half_period_forms(theta1), column[:, None])[0]
+        got = negativity_at_half_period(theta1, np.array(k))
+        assert type(got) is np.float64
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "theta1", [np.nan, np.inf, -np.inf, 0.3 + 0.5j, 1j, np.complex128(0.2 - 1e-300j)]
@@ -192,6 +257,16 @@ class TestMaximize:
         with pytest.raises(ValueError):
             SearchBudget(refinements=-1)
 
+    @pytest.mark.parametrize("field, value", [("coarse", 2.5), ("refinements", 1.5)])
+    def test_budget_counts_are_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+            SearchBudget(**{field: value})
+
+    def test_budget_stores_numpy_counts_as_ints(self):
+        budget = SearchBudget(np.int64(4), np.int32(1))
+        assert budget == SearchBudget(4, 1)
+        assert type(budget.coarse) is int and type(budget.refinements) is int
+
     @pytest.mark.parametrize("shrink", [float("nan"), float("inf")])
     def test_budget_rejects_non_finite_shrink(self, shrink):
         with pytest.raises(ValueError):
@@ -242,6 +317,19 @@ class TestFrontier:
     def test_degenerate_sweep_is_named(self, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must be at least"):
             extract_lower_boundary(**kwargs)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((2.5, 3), "grid_points"), ((3, 2.5), "bins"), ((np.float64(3), 2), "grid_points")],
+    )
+    def test_sweep_counts_are_integers(self, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            extract_lower_boundary(*args)
+
+    def test_sweep_takes_numpy_counts(self):
+        got = extract_lower_boundary(np.int64(5), np.int32(3))
+        want = extract_lower_boundary(5, 3)
+        assert np.array_equal(got.i1p, want.i1p) and np.array_equal(got.i2p, want.i2p)
 
     def test_smallest_sweep(self):
         boundary = extract_lower_boundary(grid_points=2, bins=1)

@@ -377,6 +377,11 @@ class TestClosedFormQutrit:
         assert max(worst["a"], worst["d"], worst["f"]) < 1e-12
         assert worst["b"] > 0.1
 
+    def test_discrepancy_sample_count_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer, got 2\.5$"):
+            qutrit_closed_form_discrepancy(2.5)
+        assert qutrit_closed_form_discrepancy(np.int64(4)) == qutrit_closed_form_discrepancy(4)
+
     def test_discrepancy_rows_are_deterministic(self):
         a = qutrit_closed_form_discrepancy(n_samples=10, seed=3)
         b = qutrit_closed_form_discrepancy(n_samples=10, seed=3)
