@@ -1,8 +1,9 @@
 """Exact simulator of entanglement transfer between spin pairs coupled by
 pairwise isotropic exchange.
 
-The lower layers stay importable from their own modules: ``kron`` and
-``propagator`` from ``spin_transfer.qla``; ``TransferModel``,
+``Operator`` is the type of a state or propagator handed to a caller; the
+lower layers pass plain complex arrays and stay importable from their own
+modules: ``propagator`` from ``spin_transfer.qla``; ``TransferModel``,
 ``full_evolution``, ``pair_propagator``, ``closed_form_propagator``,
 ``heisenberg_pair`` and ``spin_operators`` from ``spin_transfer.model``;
 ``initial_full_state``, ``evolve_and_reduce`` (the target|source cut) and

@@ -396,6 +396,7 @@ COMMANDS: dict[str, Command] = {
     "maximize": Command(cmd_maximize, "maximize.json", _JSON, (_THETA1, _BUDGET)),
     "verify": Command(cmd_verify, "verify_report.json", _JSON),
 }
+_FLAGS = frozenset({s.flag for c in COMMANDS.values() for s in c.schema()} | {"--config"})
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -448,12 +449,11 @@ def _resolve(command: Command, args: argparse.Namespace) -> argparse.Namespace:
 def _join_flag_values(argv: Sequence[str]) -> list[str]:
     """Write ``--flag value`` as ``--flag=value`` unless ``value`` is itself a
     flag, so that argparse takes a value such as ``-pi/6`` for a value, not a flag."""
-    flags = {s.flag for c in COMMANDS.values() for s in c.schema()} | {"--config"}
     tokens = list(argv)
     joined = []
     while tokens:
         token = tokens.pop(0)
-        if token in flags and tokens and tokens[0] not in flags | {"-h", "--help"}:
+        if token in _FLAGS and tokens and tokens[0] not in _FLAGS | {"-h", "--help"}:
             token = f"{token}={tokens.pop(0)}"
         joined.append(token)
     return joined

@@ -4,11 +4,13 @@ The interaction is the isotropic exchange coupling s1.s2 between one target
 qubit and one source particle (qubit or qutrit).  ``TransferModel.for_source_dim``
 runs the checked ``qla.hermitian_eigh`` of the time-independent pair
 Hamiltonian once per source dimension, the only decomposition of it, and
-keeps the read-only result.  Two propagator routes exist: ``pair_propagator``
-evaluates the spectral exponential from it, bit for bit ``qla.propagator``
-(authoritative), and ``closed_form_propagator`` is written out entrywise
-(regression check).  ``full_evolution`` is the pair propagator on legs (0,2)
-and (1,3) of the (target, target, source, source) product space.  The two
+keeps the read-only result.  Two propagator routes, both ``Operator``s,
+exist: ``pair_propagator`` evaluates the spectral exponential from it, bit
+for bit ``qla.propagator`` (authoritative), and ``closed_form_propagator``
+is written out entrywise (regression check).  ``full_evolution`` is the
+array of the pair propagator on legs (0,2) and (1,3) of the (target,
+target, source, source) product space; the spin matrices and the pair
+Hamiltonian are arrays too.  The two
 spectral projectors, grouped from the same eigenvectors and checked when
 they are built, give ``transfer.entanglement_curve`` the propagator at every
 time of a grid.
@@ -21,20 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import (
-    DEFAULT_ALGEBRAIC_TOL,
-    Operator,
-    _real_angle,
-    hermitian_eigh,
-    kron,
-    spectral_exponential,
-)
+from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, _real_angle, hermitian_eigh, spectral_exponential
 
 SUPPORTED_SOURCE_DIMS = (2, 3)
 
 
-def spin_operators(d: int) -> tuple[Operator, Operator, Operator]:
-    """Standard spin matrices (sx, sy, sz) for d in {2, 3}.
+def spin_operators(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard d x d spin matrices (sx, sy, sz) for d in {2, 3}.
 
     Levels are ordered by descending magnetic quantum number, so
     sz = diag(1/2, -1/2) for a qubit and diag(1, 0, -1) for a qutrit.
@@ -50,19 +45,17 @@ def spin_operators(d: int) -> tuple[Operator, Operator, Operator]:
     lower_op = raise_op.conj().T
     sx = (raise_op + lower_op) / 2
     sy = (raise_op - lower_op) / 2j
-    dims = (d,)
-    return (Operator(sx, dims), Operator(sy, dims), Operator(sz, dims))
+    return (sx, sy, sz)
 
 
-def heisenberg_pair(source_dim: int) -> Operator:
+def heisenberg_pair(source_dim: int) -> np.ndarray:
     """Exchange coupling sx*sx + sy*sy + sz*sz between a qubit and a spin
-    particle of dimension ``source_dim``, on the ordered pair space
-    (2, source_dim)."""
-    total = sum(
-        (kron(x, y).matrix for x, y in zip(spin_operators(2), spin_operators(source_dim))),
+    particle of dimension ``source_dim``, the 2d x 2d matrix on the ordered
+    pair space (2, source_dim)."""
+    return sum(
+        (np.kron(x, y) for x, y in zip(spin_operators(2), spin_operators(source_dim))),
         np.zeros((2 * source_dim, 2 * source_dim), dtype=complex),
     )
-    return Operator(total, (2, source_dim))
 
 
 def spectral_projectors(
@@ -101,12 +94,13 @@ class TransferModel:
     + exp(-i lambda_plus t) P_plus with the ``pair_projectors``, the
     read-only (2, 2d, 2d) stack (P_minus, P_plus).
 
-    ``pair_eigh`` is the read-only eigendecomposition (w, v) of the pair
-    Hamiltonian from ``qla.hermitian_eigh``; ``pair_propagator`` evaluates
+    ``pair_hamiltonian`` is the read-only 2d x 2d array of
+    ``heisenberg_pair`` and ``pair_eigh`` its read-only eigendecomposition
+    (w, v) from ``qla.hermitian_eigh``; ``pair_propagator`` evaluates
     it, and ``pair_projectors`` are grouped from it."""
 
     source_dim: int
-    pair_hamiltonian: Operator
+    pair_hamiltonian: np.ndarray
     pair_eigenvalues: tuple[float, float]
     pair_projectors: np.ndarray
     pair_eigh: tuple[np.ndarray, np.ndarray]
@@ -114,14 +108,14 @@ class TransferModel:
     @classmethod
     @functools.cache
     def for_source_dim(cls, source_dim: int) -> "TransferModel":
-        """One shared model per source dimension; its operators are read-only."""
+        """One shared model per source dimension; its arrays are read-only."""
         if source_dim not in SUPPORTED_SOURCE_DIMS:
             raise ValueError(f"unsupported source dimension {source_dim}")
         h = heisenberg_pair(source_dim)
         spin = (source_dim - 1) / 2
         eigenvalues = (-(spin + 1) / 2, spin / 2)
         eigh = hermitian_eigh(h)
-        for array in eigh:
+        for array in (h, *eigh):
             array.setflags(write=False)
         return cls(source_dim, h, eigenvalues, spectral_projectors(eigh, eigenvalues), eigh)
 
@@ -171,13 +165,13 @@ def pair_propagator(model: TransferModel, t: float) -> Operator:
     ``full_evolution`` and ``transfer.evolve_reduced`` refuse a non-finite
     or non-real time."""
     u = spectral_exponential(*model.pair_eigh, _real_angle("t", t))
-    return Operator(u, model.pair_hamiltonian.dims)
+    return Operator(u, (2, model.source_dim))
 
 
-def full_evolution(model: TransferModel, t: float) -> Operator:
-    """Four-particle evolution: the pair propagator applied to legs (0,2)
-    and (1,3) of the (2, 2, source, source) product space."""
+def full_evolution(model: TransferModel, t: float) -> np.ndarray:
+    """Four-particle evolution: the 4d^2 x 4d^2 pair propagator on legs
+    (0,2) and (1,3) of the (2, 2, source, source) product space."""
     d = model.source_dim
     u = pair_propagator(model, t).matrix.reshape(2, d, 2, d)
     full = np.einsum("asAS,brBR->absrABSR", u, u)
-    return Operator(full.reshape(4 * d * d, 4 * d * d), (2, 2, d, d))
+    return full.reshape(4 * d * d, 4 * d * d)

@@ -1,10 +1,11 @@
 """Dense complex linear algebra on labelled tensor-product spaces.
 
-Immutable operators, tensor products and propagators from the Hermitian
-eigendecomposition, all pure functions.  ``hermitian_eigh`` is the one
-checked eigendecomposition: ``propagator`` runs it on every call and is the
-oracle the tests compare against, while ``model.TransferModel`` runs it once
-per source dimension and keeps the result, so its pair propagator evaluates
+``Operator`` is the immutable, labelled type of a state or propagator handed
+to a caller; inside the library the Hamiltonian and four-particle layers pass
+plain complex arrays.  ``hermitian_eigh`` is the one checked
+eigendecomposition: ``propagator`` runs it on every call and is the oracle
+the tests compare against, while ``model.TransferModel`` runs it once per
+source dimension and keeps the result, so its pair propagator evaluates
 only ``spectral_exponential`` and its spectral projectors are grouped from
 the same eigenvectors.
 The two cuts the physics makes, target pair | source pair
@@ -74,29 +75,20 @@ class Operator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
 
-    def hermiticity_defect(self) -> float:
-        """Largest entrywise deviation from self-adjointness."""
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
+def hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors ``(w, v)`` of the array ``h``, as ``np.linalg.eigh``.
 
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; subsystem labels of ``b`` follow those of ``a``."""
-    return Operator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
-
-
-def hermitian_eigh(h: Operator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors ``(w, v)`` of ``h``, as ``np.linalg.eigh``.
-
-    Raises ValueError with the measured asymmetry when ``h`` is not
-    Hermitian within ``DEFAULT_ALGEBRAIC_TOL`` (or holds a NaN).
+    Raises ValueError with the measured asymmetry max|h - h^dagger| when
+    ``h`` is not Hermitian within ``DEFAULT_ALGEBRAIC_TOL`` (or holds a NaN).
     """
-    defect = h.hermiticity_defect()
+    defect = float(np.abs(h - h.conj().T).max())
     if not defect <= DEFAULT_ALGEBRAIC_TOL:  # NaN fails too
         raise ValueError(
             f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e}"
             f" exceeds tol {DEFAULT_ALGEBRAIC_TOL:.1e}"
         )
-    return np.linalg.eigh(h.matrix)
+    return np.linalg.eigh(h)
 
 
 def spectral_exponential(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -104,7 +96,7 @@ def spectral_exponential(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def propagator(h: Operator, t: float) -> Operator:
+def propagator(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary exp(-i h t) built from the checked eigendecomposition of ``h``."""
-    return Operator(spectral_exponential(*hermitian_eigh(h), t), h.dims)
+    return spectral_exponential(*hermitian_eigh(h), t)
 

@@ -80,12 +80,13 @@ def sample_physical_region(
     """Deterministic coverage of the amplitude simplex.
 
     The first samples are the distinguished states A, B, C; the remainder is
-    a seeded uniform (Dirichlet) fill of the simplex interior.
+    a seeded uniform (Dirichlet) fill of the simplex interior.  ``seed``
+    and ``n`` must be integers.
     """
+    rng = np.random.default_rng(_count("seed", seed))
     if _count("n", n) < 1:
         raise ValueError("need at least one sample")
     states = [STATE_A, STATE_B, STATE_C][:n]
-    rng = np.random.default_rng(seed)
     while len(states) < n:
         amps = np.sqrt(rng.dirichlet((1.0, 1.0, 1.0)))
         states.append(QutritPairState(*amps))
@@ -114,7 +115,7 @@ def _half_period_columns() -> np.ndarray:
     of ``full_evolution`` at the half period, the state it makes from target
     |AA> and source |ii>.  It does not depend on the target angle, so it is
     built once per process."""
-    full = full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
+    full = full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD)
     legs = full.reshape(36, 2, 2, 3, 3)
     columns = np.stack([legs[:, a, a].diagonal(axis1=1, axis2=2) for a in (0, 1)])
     columns.setflags(write=False)

@@ -2,8 +2,8 @@
 
 Builds the initial product state, evolves the four particles, reduces to the
 target pair and scores its negativity.  ``evolve_and_reduce`` is the
-target|source cut of a density operator: it conjugates a (2, 2, d, d) state
-by the four-particle propagator and traces out the source pair.
+target|source cut of a density matrix: it conjugates a (2, 2, d, d) state
+array by the four-particle propagator and traces out the source pair.
 ``source_channel`` is the same cut for a pure source, written as the 16x16
 matrix of the map it makes on the target state; the mixed-continuation
 staircase builds it once per run.  The numeric pipeline (``evolve_reduced``)
@@ -32,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .entanglement import XStateCoeffs, _xstate_negativities, clamp_negativity
-from .model import TransferModel, full_evolution
+from .model import SUPPORTED_SOURCE_DIMS, TransferModel, full_evolution
 from .qla import Operator, _count, _real_angle
 
 QUBIT_SOURCE_PERIOD = 2.0 * np.pi
@@ -168,27 +168,28 @@ def model_for_source(sp: SourceState) -> TransferModel:
     return TransferModel.for_source_dim(source_dim(sp))
 
 
-def initial_full_state(tp: QubitPairState, sp: SourceState) -> Operator:
-    """Rank-1 density operator of the four-particle product state."""
+def initial_full_state(tp: QubitPairState, sp: SourceState) -> np.ndarray:
+    """Rank-1 density matrix of the four-particle product state (4d^2 x 4d^2)."""
     vec = (tp.state_vector()[:, None] * sp.state_vector()[None, :]).ravel()
-    d = source_dim(sp)
-    return Operator(np.outer(vec, vec.conj()), (2, 2, d, d))
+    return np.outer(vec, vec.conj())
 
 
-def evolve_and_reduce(u: Operator, rho0: Operator) -> Operator:
-    """Target-pair state of u rho0 u^dagger: conjugate the (2, 2, d, d)
+def evolve_and_reduce(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """4x4 target-pair state of u rho0 u^dagger: conjugate the (2, 2, d, d)
     four-particle state ``rho0`` by the propagator ``u``, then trace out the
-    source pair (the last two subsystems)."""
-    dims = rho0.dims
-    if len(dims) != 4 or dims[:2] != (2, 2) or dims[2] != dims[3] or u.dims != dims:
+    source pair.  Raises ValueError naming both shapes unless ``rho0`` is
+    4d^2 x 4d^2 with d in ``SUPPORTED_SOURCE_DIMS`` and ``u`` has its shape."""
+    d = next((d for d in SUPPORTED_SOURCE_DIMS if rho0.shape == (4 * d * d,) * 2), None)
+    if d is None or u.shape != rho0.shape:
         raise ValueError(
-            f"expected a (2, 2, d, d) state and a propagator on it, got dims {dims} and {u.dims}"
+            f"expected a 4d^2 x 4d^2 state with d in {SUPPORTED_SOURCE_DIMS} and a"
+            f" propagator of its shape, got shapes {rho0.shape} and {u.shape}"
         )
-    rho_t = (u.matrix @ rho0.matrix @ u.matrix.conj().T).reshape(dims + dims)
-    return Operator(np.einsum("abijABij->abAB", rho_t).reshape(4, 4), (2, 2))
+    rho_t = (u @ rho0 @ u.conj().T).reshape((2, 2, d, d) * 2)
+    return np.einsum("abijABij->abAB", rho_t).reshape(4, 4)
 
 
-def source_channel(u: Operator, sp: SourceState) -> np.ndarray:
+def source_channel(u: np.ndarray, sp: SourceState) -> np.ndarray:
     """The 16x16 matrix S of rho -> Tr_S[u (rho x |sp><sp|) u^dagger] on the
     row-major vectorized 4x4 target state: the target|source cut of
     ``evolve_and_reduce``, specialised to a pure source.
@@ -196,22 +197,25 @@ def source_channel(u: Operator, sp: SourceState) -> np.ndarray:
     Its Kraus operators are V_s[ab, AB] = sum_j u[(ab, s), (AB, j)] sp_j,
     one per source basis state s, and S[(x, w), (y, z)] =
     sum_s V_s[x, y] conj(V_s[w, z]), so the state after the round is
-    ``(S @ rho.ravel()).reshape(4, 4)``.  Raises ValueError unless ``u``
-    acts on (2, 2, d, d) with d the dimension of ``sp``'s particles.
+    ``(S @ rho.ravel()).reshape(4, 4)``.  Raises ValueError naming the
+    shape unless ``u`` is 4d^2 x 4d^2, with d the dimension of ``sp``'s
+    particles.
     """
     d = source_dim(sp)
-    if u.dims != (2, 2, d, d):
+    n = 4 * d * d
+    if u.shape != (n, n):
         raise ValueError(
-            f"expected a propagator on (2, 2, {d}, {d}) for this source, got dims {u.dims}"
+            f"expected a {n}x{n} propagator for a source of dimension {d}, got shape {u.shape}"
         )
-    kraus = np.einsum("xsyj,j->sxy", u.matrix.reshape(4, d * d, 4, d * d), sp.state_vector())
+    kraus = np.einsum("xsyj,j->sxy", u.reshape(4, d * d, 4, d * d), sp.state_vector())
     return np.einsum("sxy,swz->xwyz", kraus, kraus.conj()).reshape(16, 16)
 
 
 def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
     """Reduced target-pair state after evolving for time ``t``: evolve the
     full product state unitarily, then trace out the source pair."""
-    return evolve_and_reduce(full_evolution(model_for_source(sp), t), initial_full_state(tp, sp))
+    rho = evolve_and_reduce(full_evolution(model_for_source(sp), t), initial_full_state(tp, sp))
+    return Operator(rho, (2, 2))
 
 
 def closed_form_rho12_qubit(theta1: float, theta2: float, t: float) -> XStateCoeffs:
@@ -284,9 +288,9 @@ def qutrit_closed_form_discrepancy(
     the numeric pipeline over a deterministic sample of (theta1, k, t).
 
     Includes the revival endpoints t = 0 and t = 4*pi/3, where the two
-    routes agree exactly.  ``n_samples`` must be an integer.
+    routes agree exactly.  ``seed`` and ``n_samples`` must be integers.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed))
     rows: list[dict[str, float]] = []
     special_t = (0.0, QUTRIT_HALF_PERIOD, QUTRIT_SOURCE_PERIOD)
     for i in range(_count("n_samples", n_samples)):

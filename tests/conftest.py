@@ -1,4 +1,4 @@
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -13,10 +13,10 @@ def random_density(rng: np.random.Generator, dims) -> Operator:
     return Operator(m / np.trace(m), tuple(dims))
 
 
-def random_hermitian(rng: np.random.Generator, dims) -> Operator:
+def random_hermitian(rng: np.random.Generator, dims) -> np.ndarray:
     d = prod(dims)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return Operator((g + g.conj().T) / 2, tuple(dims))
+    return (g + g.conj().T) / 2
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -25,13 +25,14 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def trace_out_sources(rho: Operator) -> Operator:
-    """Target-pair state of a (2, 2, d, d) state, traced with two nested
-    ``np.trace`` calls over the source axes: an oracle independent of
-    ``transfer.evolve_and_reduce``."""
-    t = rho.matrix.reshape(rho.dims + rho.dims)  # axes (a, b, i, j, A, B, I, J)
+def trace_out_sources(rho: np.ndarray) -> np.ndarray:
+    """4x4 target-pair state of a 4d^2 x 4d^2 state on (2, 2, d, d), traced
+    with two nested ``np.trace`` calls over the source axes: an oracle
+    independent of ``transfer.evolve_and_reduce``."""
+    d = isqrt(rho.shape[0] // 4)
+    t = rho.reshape((2, 2, d, d) * 2)  # axes (a, b, i, j, A, B, I, J)
     t = np.trace(np.trace(t, axis1=3, axis2=7), axis1=2, axis2=5)
-    return Operator(t.reshape(4, 4), (2, 2))
+    return t.reshape(4, 4)
 
 
 def max_abs(a, b) -> float:

@@ -14,7 +14,7 @@ from spin_transfer.entanglement import (
     schmidt_angle_from_negativity,
     xstate_negativity_raw,
 )
-from spin_transfer.qla import Operator, kron
+from spin_transfer.qla import Operator
 from spin_transfer.transfer import QubitPairState, QutritPairState, closed_form_rho12_qubit
 from spin_transfer.verify import random_xstate
 
@@ -27,7 +27,8 @@ def schmidt_density(theta: float) -> Operator:
 
 class TestNegativity:
     def test_product_state_is_zero(self, rng):
-        rho = kron(random_density(rng, (2,)), random_density(rng, (2,)))
+        a, b = random_density(rng, (2,)), random_density(rng, (2,))
+        rho = Operator(np.kron(a.matrix, b.matrix), (2, 2))
         assert negativity(rho).value == 0.0
 
     def test_bell_state_is_one(self):

@@ -58,7 +58,7 @@ RANK_BUDGETS = (
     SearchBudget(coarse=151, refinements=2, shrink=5.0),
     SearchBudget(coarse=4, refinements=3, shrink=2.0),
 )
-HALF_PERIOD_EVOLUTION = full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD).matrix
+HALF_PERIOD_EVOLUTION = full_evolution(TransferModel.for_source_dim(3), QUTRIT_HALF_PERIOD)
 
 
 def oracle_negativity(theta1: float, amplitudes: np.ndarray) -> np.ndarray:

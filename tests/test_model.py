@@ -53,9 +53,9 @@ def four_particle_hamiltonian(source_dim, legs=((0, 2), (1, 3))):
     for s_target, s_source in pairs:
         for target, source in legs:
             factors = [np.eye(d) for d in dims]
-            factors[target], factors[source] = s_target.matrix, s_source.matrix
+            factors[target], factors[source] = s_target, s_source
             total += reduce(np.kron, factors)
-    return Operator(total, dims)
+    return total
 
 
 def embed_pair(u, targets, full_dims):
@@ -73,7 +73,7 @@ def embed_pair(u, targets, full_dims):
 class TestSpinOperators:
     @pytest.mark.parametrize("d", [2, 3])
     def test_commutation_relations(self, d):
-        sx, sy, sz = (o.matrix for o in spin_operators(d))
+        sx, sy, sz = spin_operators(d)
         assert max_abs(sx @ sy - sy @ sx, 1j * sz) < 1e-12
         assert max_abs(sy @ sz - sz @ sy, 1j * sx) < 1e-12
         assert max_abs(sz @ sx - sx @ sz, 1j * sy) < 1e-12
@@ -81,15 +81,19 @@ class TestSpinOperators:
     @pytest.mark.parametrize("d", [2, 3])
     def test_casimir(self, d):
         s = (d - 1) / 2
-        total = sum(o.matrix @ o.matrix for o in spin_operators(d))
+        total = sum(o @ o for o in spin_operators(d))
         assert max_abs(total, s * (s + 1) * np.eye(d)) < 1e-12
 
     def test_sz_conventions(self):
-        assert max_abs(spin_operators(2)[2].matrix, np.diag([0.5, -0.5])) == 0
-        assert max_abs(spin_operators(3)[2].matrix, np.diag([1.0, 0.0, -1.0])) == 0
+        assert max_abs(spin_operators(2)[2], np.diag([0.5, -0.5])) == 0
+        assert max_abs(spin_operators(3)[2], np.diag([1.0, 0.0, -1.0])) == 0
+
+    def test_sz_qubit_times_sz_qutrit_diagonal(self):
+        expected = np.diag([0.5, 0.0, -0.5, -0.5, 0.0, 0.5])
+        assert max_abs(np.kron(spin_operators(2)[2], spin_operators(3)[2]), expected) < 1e-15
 
     def test_qutrit_sx_off_diagonals(self):
-        sx = spin_operators(3)[0].matrix
+        sx = spin_operators(3)[0]
         assert sx[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
         assert sx[1, 2] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
@@ -100,14 +104,14 @@ class TestSpinOperators:
 
 class TestHeisenbergPair:
     def test_qubit_pair_matrix(self):
-        assert max_abs(heisenberg_pair(2).matrix, H22_EXPECTED) < 1e-12
+        assert max_abs(heisenberg_pair(2), H22_EXPECTED) < 1e-12
 
     def test_qubit_qutrit_matrix(self):
-        assert max_abs(heisenberg_pair(3).matrix, H23_EXPECTED) < 1e-12
+        assert max_abs(heisenberg_pair(3), H23_EXPECTED) < 1e-12
 
     @pytest.mark.parametrize("db", [2, 3])
     def test_traceless(self, db):
-        assert abs(np.trace(heisenberg_pair(db).matrix)) < 1e-14
+        assert abs(np.trace(heisenberg_pair(db))) < 1e-14
 
     def test_unsupported_dims(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -116,14 +120,14 @@ class TestHeisenbergPair:
     @pytest.mark.parametrize("source_dim,expected", [(2, [-0.75, 0.25]), (3, [-1.0, 0.5])])
     def test_model_spectrum(self, source_dim, expected):
         model = TransferModel.for_source_dim(source_dim)
-        eigs = np.linalg.eigvalsh(model.pair_hamiltonian.matrix)
+        eigs = np.linalg.eigvalsh(model.pair_hamiltonian)
         assert np.allclose(np.unique(np.round(eigs, 12)), expected)
 
     def test_model_is_built_once_per_source_dim(self):
         for source_dim in (2, 3):
             model = TransferModel.for_source_dim(source_dim)
             assert TransferModel.for_source_dim(source_dim) is model
-            assert not model.pair_hamiltonian.matrix.flags.writeable
+            assert not model.pair_hamiltonian.flags.writeable
         for _ in range(2):
             with pytest.raises(ValueError, match="unsupported source dimension 4"):
                 TransferModel.for_source_dim(4)
@@ -141,7 +145,7 @@ class TestSpectralProjectors:
         assert max_abs(p_minus @ p_plus, 0 * eye) < 1e-14
         assert max_abs(p_minus + p_plus, eye) < 1e-14
         h = lo * p_minus + hi * p_plus
-        assert max_abs(h, model.pair_hamiltonian.matrix) < 1e-14
+        assert max_abs(h, model.pair_hamiltonian) < 1e-14
         # J = S + 1/2 has 2S + 2 states, J = S - 1/2 has 2S
         assert round(np.trace(p_plus).real) == source_dim + 1
         assert round(np.trace(p_minus).real) == source_dim - 1
@@ -165,7 +169,7 @@ class TestSpectralProjectors:
         # P_plus = (H - lambda_minus) / Delta and P_minus = (lambda_plus - H) / Delta
         model = TransferModel.for_source_dim(source_dim)
         (lo, hi), (p_minus, p_plus) = model.pair_eigenvalues, model.pair_projectors
-        h, eye = model.pair_hamiltonian.matrix, np.eye(2 * source_dim)
+        h, eye = model.pair_hamiltonian, np.eye(2 * source_dim)
         assert max_abs(p_plus, (h - lo * eye) / (hi - lo)) < 1e-15
         assert max_abs(p_minus, (hi * eye - h) / (hi - lo)) < 1e-15
 
@@ -199,8 +203,8 @@ class TestCachedEigendecomposition:
         for t in [*self.TIMES, *np.linspace(-4 * np.pi, 4 * np.pi, 601)]:
             fast = pair_propagator(model, t)
             oracle = propagator(model.pair_hamiltonian, t)
-            assert fast.dims == oracle.dims == (2, source_dim)
-            assert fast.matrix.tobytes() == oracle.matrix.tobytes(), t
+            assert fast.dims == (2, source_dim)
+            assert fast.matrix.tobytes() == oracle.tobytes(), t
 
     @pytest.mark.parametrize("source_dim", [2, 3])
     def test_cached_arrays_are_read_only(self, source_dim):
@@ -248,8 +252,8 @@ class TestFullEvolution:
     def test_zero_time_identity(self):
         model = TransferModel.for_source_dim(3)
         u = full_evolution(model, 0.0)
-        assert max_abs(u.matrix, np.eye(36)) < 1e-13
-        assert u.dims == (2, 2, 3, 3)
+        assert max_abs(u, np.eye(36)) < 1e-13
+        assert u.shape == (36, 36)
 
     def test_equals_embedded_pair_product(self):
         model = TransferModel.for_source_dim(3)
@@ -257,28 +261,28 @@ class TestFullEvolution:
         u = pair_propagator(model, t)
         dims = (2, 2, 3, 3)
         expected = embed_pair(u, (0, 2), dims) @ embed_pair(u, (1, 3), dims)
-        assert max_abs(full_evolution(model, t).matrix, expected) < 1e-12
+        assert max_abs(full_evolution(model, t), expected) < 1e-12
 
     def test_closed_form_route_agrees(self):
         model = TransferModel.for_source_dim(3)
         u = closed_form_propagator(model, 2.1)
         dims = (2, 2, 3, 3)
         b = embed_pair(u, (0, 2), dims) @ embed_pair(u, (1, 3), dims)
-        assert max_abs(full_evolution(model, 2.1).matrix, b) < 1e-10
+        assert max_abs(full_evolution(model, 2.1), b) < 1e-10
 
     @given(st.sampled_from([2, 3]), st.floats(-50.0, 50.0))
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     def test_matches_four_particle_hamiltonian_propagator(self, source_dim, t):
         model = TransferModel.for_source_dim(source_dim)
         expected = propagator(four_particle_hamiltonian(source_dim), t)
-        assert max_abs(full_evolution(model, t).matrix, expected.matrix) < 1e-10
+        assert max_abs(full_evolution(model, t), expected) < 1e-10
 
     def test_one_parameter_group(self, rng):
         model = TransferModel.for_source_dim(2)
         for _ in range(5):
             t1, t2 = rng.uniform(0, 2 * np.pi, 2)
-            combined = full_evolution(model, t1).matrix @ full_evolution(model, t2).matrix
-            assert max_abs(combined, full_evolution(model, t1 + t2).matrix) < 1e-9
+            combined = full_evolution(model, t1) @ full_evolution(model, t2)
+            assert max_abs(combined, full_evolution(model, t1 + t2)) < 1e-9
 
     def test_half_period_swaps_entanglement(self):
         tp = QubitPairState(np.pi / 6)
@@ -286,8 +290,7 @@ class TestFullEvolution:
         model = TransferModel.for_source_dim(2)
         u = full_evolution(model, np.pi)
         rho0 = initial_full_state(tp, sp)
-        rho_t = Operator(u.matrix @ rho0.matrix @ u.matrix.conj().T, rho0.dims)
-        reduced = trace_out_sources(rho_t)
+        reduced = Operator(trace_out_sources(u @ rho0 @ u.conj().T), (2, 2))
         assert negativity(reduced).value == pytest.approx(sp.initial_negativity(), abs=1e-9)
 
     def test_exchange_symmetry_of_leg_assignment(self, rng):
@@ -301,6 +304,6 @@ class TestFullEvolution:
         for t in (0.7, 2.0):
             values = []
             for evo in (full_evolution(model, t), propagator(h_swapped, t)):
-                rho_t = Operator(evo.matrix @ rho0.matrix @ evo.matrix.conj().T, rho0.dims)
-                values.append(negativity(trace_out_sources(rho_t)).value)
+                reduced = trace_out_sources(evo @ rho0 @ evo.conj().T)
+                values.append(negativity(Operator(reduced, (2, 2))).value)
             assert values[0] == pytest.approx(values[1], abs=1e-10)

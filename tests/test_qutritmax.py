@@ -119,6 +119,11 @@ class TestSampleRegion:
             sample_physical_region(2.5)
         assert sample_physical_region(np.int64(5)) == sample_physical_region(5)
 
+    def test_seed_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
+            sample_physical_region(5, seed=2.5)
+        assert sample_physical_region(5, seed=np.int64(7)) == sample_physical_region(5, seed=7)
+
 
 class TestHalfPeriodEvaluator:
     def test_matches_generic_pipeline(self, rng):

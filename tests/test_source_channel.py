@@ -1,6 +1,8 @@
 """The pure-source channel of one round and the mixed-continuation staircase
 that applies it, against the four-particle conjugation they replace."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from spin_transfer.protocol import (
     iterate_transfer,
     snapshot_purity,
 )
-from spin_transfer.qla import Operator, kron
+from spin_transfer.qla import Operator
 from spin_transfer.transfer import (
     QUTRIT_HALF_PERIOD,
     STATE_A,
@@ -40,9 +42,9 @@ def seeded_sources(n: int, seed: int) -> list[QutritPairState]:
 SOURCES = [STATE_A, STATE_B, STATE_C] + seeded_sources(5, seed=3)
 
 
-def source_density(sp) -> Operator:
+def source_density(sp) -> np.ndarray:
     vec = sp.state_vector()
-    return Operator(np.outer(vec, vec.conj()), (source_dim(sp),) * 2)
+    return np.outer(vec, vec.conj())
 
 
 def apply_channel(channel: np.ndarray, rho: Operator) -> np.ndarray:
@@ -61,7 +63,7 @@ def oracle_iterate_mixed(e0: float, sp: QutritPairState, steps: int) -> list[tup
     rows = []
     for _ in range(steps):
         snapshot = rho_tp
-        rho_tp = evolve_and_reduce(u, kron(rho_tp, sp_density))
+        rho_tp = Operator(evolve_and_reduce(u, np.kron(rho_tp.matrix, sp_density)), (2, 2))
         e_after = negativity(rho_tp).value
         purity = float(np.real(np.trace(snapshot.matrix @ snapshot.matrix)))
         rows.append((e, e_after, purity))
@@ -105,17 +107,17 @@ class TestSourceChannel:
         channel = source_channel(HALF_PERIOD_EVOLUTION, sp)
         for _ in range(4):
             rho = random_density(rng, (2, 2))
-            want = evolve_and_reduce(HALF_PERIOD_EVOLUTION, kron(rho, source_density(sp)))
-            assert max_abs(apply_channel(channel, rho), want.matrix) <= 1e-14
+            want = evolve_and_reduce(HALF_PERIOD_EVOLUTION, np.kron(rho.matrix, source_density(sp)))
+            assert max_abs(apply_channel(channel, rho), want) <= 1e-14
 
     @pytest.mark.parametrize("sp", [STATE_B, QubitPairState(0.4)])
     def test_matches_the_conjugation_by_any_propagator(self, sp, rng):
         d = source_dim(sp)
-        u = Operator(random_unitary(rng, 4 * d * d), (2, 2, d, d))
+        u = random_unitary(rng, 4 * d * d)
         channel = source_channel(u, sp)
         rho = random_density(rng, (2, 2))
-        want = evolve_and_reduce(u, kron(rho, source_density(sp)))
-        assert max_abs(apply_channel(channel, rho), want.matrix) <= 1e-14
+        want = evolve_and_reduce(u, np.kron(rho.matrix, source_density(sp)))
+        assert max_abs(apply_channel(channel, rho), want) <= 1e-14
 
     @pytest.mark.parametrize("sp", SOURCES)
     def test_preserves_the_trace(self, sp):
@@ -125,12 +127,19 @@ class TestSourceChannel:
 
     def test_rejects_mismatched_dimensions(self):
         qubit_evolution = full_evolution(TransferModel.for_source_dim(2), QUTRIT_HALF_PERIOD)
-        with pytest.raises(ValueError, match=r"\(2, 2, 3, 3\)"):
+        with pytest.raises(ValueError, match=r"36x36 .* dimension 3, got shape \(16, 16\)"):
             source_channel(qubit_evolution, STATE_A)
-        with pytest.raises(ValueError, match=r"\(2, 2, 2, 2\)"):
+        with pytest.raises(ValueError, match=r"16x16 .* dimension 2, got shape \(36, 36\)"):
             source_channel(HALF_PERIOD_EVOLUTION, QubitPairState(0.3))
-        with pytest.raises(ValueError, match="dims"):
-            source_channel(Operator(np.eye(36), (4, 9)), STATE_A)
+
+    @pytest.mark.parametrize("shape", [(36, 16), (16, 36), (4, 4)])
+    @pytest.mark.parametrize("sp", [STATE_A, QubitPairState(0.3)])
+    def test_rejects_other_shapes(self, sp, shape):
+        d = source_dim(sp)
+        n = 4 * d * d
+        message = f"{n}x{n} propagator for a source of dimension {d}, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            source_channel(np.eye(*shape), sp)
 
 
 class TestMixedStaircase:

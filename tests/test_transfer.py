@@ -1,3 +1,4 @@
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from spin_transfer.entanglement import XStateCoeffs, clamp_negativity, negativities, negativity
 from spin_transfer.model import TransferModel, closed_form_propagator, pair_propagator
 from spin_transfer.qla import POSITIVITY_TOL
-from spin_transfer.qla import Operator, kron
+from spin_transfer.qla import Operator
 from spin_transfer.transfer import (
     QUBIT_SOURCE_PERIOD,
     QUTRIT_HALF_PERIOD,
@@ -122,12 +123,12 @@ class TestInitialFullState:
         rho = initial_full_state(QubitPairState(0.0), QubitPairState(0.0))
         expected = np.zeros((16, 16))
         expected[0, 0] = 1.0
-        assert max_abs(rho.matrix, expected) < 1e-15
+        assert max_abs(rho, expected) < 1e-15
 
     def test_rank_one_trace_one(self, rng):
         rho = initial_full_state(QubitPairState(rng.uniform(0, np.pi / 2)), random_qutrit_state(rng))
-        assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
-        purity = np.trace(rho.matrix @ rho.matrix).real
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        purity = np.trace(rho @ rho).real
         assert purity == pytest.approx(1.0, abs=1e-12)
 
     def test_bit_for_bit_np_kron_construction(self, rng):
@@ -138,11 +139,11 @@ class TestInitialFullState:
             tp = QubitPairState(rng.uniform(-np.pi, np.pi))
             vec = np.kron(tp.state_vector(), sp.state_vector())
             expected = np.outer(vec, vec.conj())
-            assert initial_full_state(tp, sp).matrix.tobytes() == expected.tobytes()
+            assert initial_full_state(tp, sp).tobytes() == expected.tobytes()
 
     def test_tp_marginal_negativity(self):
         rho = initial_full_state(QubitPairState(np.pi / 4), STATE_A)
-        reduced = trace_out_sources(rho)
+        reduced = Operator(trace_out_sources(rho), (2, 2))
         assert negativity(reduced).value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -154,47 +155,49 @@ class TestEvolveAndReduce:
     def test_matches_nested_trace_oracle(self, d, seed):
         rng = np.random.default_rng(seed)
         dims = (2, 2, d, d)
-        u = Operator(random_unitary(rng, 4 * d * d), dims)
-        rho0 = random_density(rng, dims)
-        evolved = Operator(u.matrix @ rho0.matrix @ u.matrix.conj().T, dims)
+        u = random_unitary(rng, 4 * d * d)
+        rho0 = random_density(rng, dims).matrix
+        evolved = u @ rho0 @ u.conj().T
         reduced = evolve_and_reduce(u, rho0)
-        assert reduced.dims == (2, 2)
-        assert max_abs(reduced.matrix, trace_out_sources(evolved).matrix) <= 1e-12
+        assert reduced.shape == (4, 4)
+        assert max_abs(reduced, trace_out_sources(evolved)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_product_state_marginal(self, rng, d):
-        a = random_density(rng, (2, 2))
-        rho0 = kron(a, random_density(rng, (d, d)))
-        identity = Operator(np.eye(4 * d * d), rho0.dims)
-        assert max_abs(evolve_and_reduce(identity, rho0).matrix, a.matrix) < 1e-12
+        a = random_density(rng, (2, 2)).matrix
+        rho0 = np.kron(a, random_density(rng, (d, d)).matrix)
+        identity = np.eye(4 * d * d)
+        assert max_abs(evolve_and_reduce(identity, rho0), a) < 1e-12
 
     def test_target_marginal_of_maximal_entanglement(self):
         vec = np.eye(4).reshape(16) / 2  # sum over (a, b) of |ab>|ab> / 2
-        rho0 = Operator(np.outer(vec, vec), (2, 2, 2, 2))
-        identity = Operator(np.eye(16), rho0.dims)
-        assert max_abs(evolve_and_reduce(identity, rho0).matrix, np.eye(4) / 4) < 1e-15
+        rho0 = np.outer(vec, vec)
+        identity = np.eye(16)
+        assert max_abs(evolve_and_reduce(identity, rho0), np.eye(4) / 4) < 1e-15
 
     def test_linearity_and_unit_trace(self, rng):
         dims = (2, 2, 3, 3)
-        u = Operator(random_unitary(rng, 36), dims)
-        x, y = random_density(rng, dims), random_density(rng, dims)
-        mix = Operator(0.3 * x.matrix + 0.7 * y.matrix, dims)
-        lhs = evolve_and_reduce(u, mix).matrix
-        rhs = 0.3 * evolve_and_reduce(u, x).matrix + 0.7 * evolve_and_reduce(u, y).matrix
+        u = random_unitary(rng, 36)
+        x, y = random_density(rng, dims).matrix, random_density(rng, dims).matrix
+        mix = 0.3 * x + 0.7 * y
+        lhs = evolve_and_reduce(u, mix)
+        rhs = 0.3 * evolve_and_reduce(u, x) + 0.7 * evolve_and_reduce(u, y)
         assert max_abs(lhs, rhs) < 1e-12
         assert abs(np.trace(lhs) - 1) < 1e-12
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2), (2, 3, 2, 2)])
-    def test_rejects_other_layouts(self, dims):
-        eye = Operator(np.eye(int(np.prod(dims))), dims)
-        with pytest.raises(ValueError, match=r"\(2, 2, d, d\)"):
+    # non-square, then 4d^2 x 4d^2 for no supported d: d = 1, no d, no d, d = 4
+    @pytest.mark.parametrize("shape", [(16, 36), (4, 4), (12, 12), (24, 24), (64, 64)])
+    def test_rejects_other_state_shapes(self, shape):
+        eye = np.eye(*shape)
+        with pytest.raises(ValueError, match=re.escape(f"got shapes {shape} and {shape}")):
             evolve_and_reduce(eye, eye)
 
-    def test_rejects_propagator_on_another_space(self):
+    # the qubit-source propagator, then two non-square ones
+    @pytest.mark.parametrize("shape", [(16, 16), (36, 16), (36, 35)])
+    def test_rejects_propagator_of_another_shape(self, shape):
         rho0 = initial_full_state(QubitPairState(0.3), STATE_A)
-        u = Operator(np.eye(16), (2, 2, 2, 2))
-        with pytest.raises(ValueError, match=r"\(2, 2, d, d\)"):
-            evolve_and_reduce(u, rho0)
+        with pytest.raises(ValueError, match=re.escape(f"got shapes (36, 36) and {shape}")):
+            evolve_and_reduce(np.eye(*shape), rho0)
 
 
 class TestEvolveReduced:
@@ -381,6 +384,12 @@ class TestClosedFormQutrit:
         with pytest.raises(ValueError, match=r"^n_samples must be an integer, got 2\.5$"):
             qutrit_closed_form_discrepancy(2.5)
         assert qutrit_closed_form_discrepancy(np.int64(4)) == qutrit_closed_form_discrepancy(4)
+
+    def test_discrepancy_seed_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
+            qutrit_closed_form_discrepancy(4, seed=2.5)
+        want = qutrit_closed_form_discrepancy(4, seed=5)
+        assert qutrit_closed_form_discrepancy(4, seed=np.int64(5)) == want
 
     def test_discrepancy_rows_are_deterministic(self):
         a = qutrit_closed_form_discrepancy(n_samples=10, seed=3)

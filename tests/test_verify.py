@@ -83,3 +83,9 @@ def test_a_nan_fails_the_report(monkeypatch):
     assert report["mandatory_passed"] is False
     (row,) = [c for c in report["checks"] if c["name"].startswith("closed-form propagator")]
     assert row["passed"] is False
+
+
+def test_a_non_integer_seed_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
+        verify.run_checks(2.5)
+    assert verify.run_checks(np.int64(1)) == verify.run_checks(1)

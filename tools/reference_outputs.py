@@ -62,6 +62,12 @@ INVOCATIONS = (
     # inputs outside the two fig2 runs above: its E12 column goes through
     # NegativityValue.from_raw
     ("13-fig2", ["fig2", "--theta1", "0.4", "--theta2", "1.1", "--t-points", "301"]),
+    # a negative flag value, joined to its flag by cli._join_flag_values, and a
+    # long qubit-source grid off 0..2pi
+    ("14-fig2", ["fig2", "--t-start", "-pi/6", "--t-stop", "50", "--t-points", "997"]),
+    # the pure-reset staircase from a source other than A, B or C; it is not
+    # monotone (0.9535, then 0.9505)
+    ("15-iterate", ["iterate", "--sp", "0.6,0.5,0.3", "--steps", "12", "--e0", "0.05"]),
 )
 
 
