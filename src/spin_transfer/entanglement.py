@@ -1,4 +1,4 @@
-"""Negativity of two-subsystem states, generic and X-state closed form.
+"""Negativity of two-qubit states, generic and X-state closed form.
 
 The generic route (eigenvalues of the partial transpose) is written once, for
 a stack of states: ``negativities`` scores every state of a
@@ -12,7 +12,7 @@ time grid of ``transfer.entanglement_curve``, and ``negativity_xstate`` is
 its one-state case; its Hermiticity and X-pattern check guards
 ``XStateCoeffs.from_operator``.  The same formula scores the half-period
 quadratic forms behind ``qutritmax.negativity_at_half_period`` and the
-half-period search.  Every score is clamped to its range by one rule,
+half-period search.  Every score is clamped to [0, 1] by one rule,
 ``clamp_negativity``, of which ``NegativityValue.from_raw`` is the
 one-element case.
 """
@@ -38,21 +38,17 @@ X_PATTERN = np.array(
 
 @dataclass(frozen=True)
 class NegativityValue:
-    """Negativity with the raw (unclamped) number kept alongside the
-    sanitized value.  Clamping beyond ``POSITIVITY_TOL`` is refused, since a genuinely
-    out-of-range number signals an evolution bug.  For qubit pairs the
-    attainable range is [0, 1]; for a d x D bipartition it is [0, min-1]."""
+    """Two-qubit negativity with the raw (unclamped) number kept alongside
+    the value clamped to [0, 1].  Clamping beyond ``POSITIVITY_TOL`` is
+    refused, since a genuinely out-of-range number signals an evolution bug."""
 
     value: float
     raw: float
 
     @classmethod
-    def from_raw(cls, raw: float, upper: float = 1.0) -> "NegativityValue":
+    def from_raw(cls, raw: float) -> "NegativityValue":
         """The one-element case of ``clamp_negativity``."""
-        return cls(float(clamp_negativity(raw, upper)), raw)
-
-    def __float__(self) -> float:
-        return self.value
+        return cls(float(clamp_negativity(raw)), raw)
 
 
 @dataclass(frozen=True)
@@ -71,37 +67,35 @@ class XStateCoeffs:
         m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.b, self.c, self.d
         m[0, 3] = self.f
         m[3, 0] = np.conj(self.f)
-        return Operator(m, (2, 2))
+        return Operator(m)
 
     @classmethod
     def from_operator(cls, rho: Operator) -> "XStateCoeffs":
-        """Extract coefficients from a two-qubit ``rho`` that passes the
+        """Extract coefficients from a 4x4 ``rho`` that passes the
         Hermiticity and X-pattern check of ``_xstate_negativities``."""
-        if rho.dims != (2, 2):
-            raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
-        m = rho.matrix
+        m = _two_qubit_matrix(rho)
         _check_x_form(m[None])
         return cls(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, complex(m[0, 3]))
 
 
-def clamp_negativity(raw, upper: float = 1.0) -> np.ndarray:
-    """The one clamp rule: raw negativities clamped to [0, upper], where a
-    value outside that range by more than ``POSITIVITY_TOL``, or a NaN,
-    raises ValueError naming the first one.  A -0.0 stays -0.0."""
+def clamp_negativity(raw) -> np.ndarray:
+    """The one clamp rule: raw two-qubit negativities clamped to [0, 1],
+    where a value outside that range by more than ``POSITIVITY_TOL``, or a
+    NaN, raises ValueError naming the first one.  A -0.0 stays -0.0."""
     raw = np.asarray(raw, dtype=float)
-    inside = (raw >= -POSITIVITY_TOL) & (raw <= upper + POSITIVITY_TOL)
+    inside = (raw >= -POSITIVITY_TOL) & (raw <= 1.0 + POSITIVITY_TOL)
     if not inside.all():
         value = float(raw.flat[np.argmin(inside)])
         raise ValueError(
-            f"negativity {value!r} outside [0, {upper}] by more than tol {POSITIVITY_TOL:.1e}"
+            f"negativity {value!r} outside [0, 1.0] by more than tol {POSITIVITY_TOL:.1e}"
         )
-    return np.where(raw < 0.0, 0.0, np.minimum(raw, upper))
+    return np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0))
 
 
-def negativities(states: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Raw negativity of each state of a stack (N, a*b, a*b) on the
-    subsystems ``dims`` = (a, b): minus twice the sum of the negative
-    eigenvalues of its partial transpose on the second subsystem.
+def negativities(states: np.ndarray) -> np.ndarray:
+    """Raw negativity of each two-qubit state of a stack (N, 4, 4): minus
+    twice the sum of the negative eigenvalues of its partial transpose on
+    the second qubit.
 
     Every state must be a density operator: Hermitian within
     ``DEFAULT_ALGEBRAIC_TOL``, of unit trace within ``POSITIVITY_TOL`` and
@@ -119,9 +113,8 @@ def negativities(states: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
         hermiticity = asymmetry.max(axis=(1, 2))
         _reject("Hermiticity defect", hermiticity, hermiticity <= DEFAULT_ALGEBRAIC_TOL)
         _reject("trace defect", trace, trace <= POSITIVITY_TOL)
-    a, b = dims
     n = len(states)
-    transposed = states.reshape(n, a, b, a, b).transpose(0, 1, 4, 3, 2).reshape(n, a * b, a * b)
+    transposed = states.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
     spectra = np.linalg.eigvalsh(np.concatenate([states, transposed]))
     least = spectra[:n, 0]
     if not least.min(initial=0.0) >= -POSITIVITY_TOL:
@@ -169,13 +162,18 @@ def _reject(name: str, values: np.ndarray, ok: np.ndarray) -> None:
         raise ValueError(f"input is not a density operator: state {i}: {name} {values[i]:.3e}")
 
 
+def _two_qubit_matrix(rho: Operator) -> np.ndarray:
+    """The matrix of ``rho``; ValueError naming its shape unless it is 4x4."""
+    if rho.matrix.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.matrix.shape}")
+    return rho.matrix
+
+
 def negativity(rho: Operator) -> NegativityValue:
-    """Negativity of a two-subsystem state ``rho``; the one-state case of
+    """Negativity of a 4x4 two-qubit state ``rho``; the one-state case of
     ``negativities``."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"negativity needs two subsystems, got dims {rho.dims}")
-    raw = float(negativities(rho.matrix[None], rho.dims)[0])
-    return NegativityValue.from_raw(raw, upper=float(min(rho.dims) - 1))
+    raw = float(negativities(_two_qubit_matrix(rho)[None])[0])
+    return NegativityValue.from_raw(raw)
 
 
 def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:
@@ -194,6 +192,10 @@ def xstate_negativity_raw(b, c, f_abs):
 def schmidt_angle_from_negativity(value: float) -> float:
     """Angle theta in [0, pi/4] whose Schmidt state cos(theta)|00> +
     sin(theta)|11> has the requested negativity |sin 2 theta|."""
-    if not 0.0 <= value <= 1.0:
+    try:
+        inside = 0.0 <= value <= 1.0
+    except TypeError:  # not comparable with a number: a string, None
+        inside = False
+    if not inside:
         raise ValueError(f"negativity {value!r} outside [0, 1]")
     return 0.5 * float(np.arcsin(value))

@@ -8,9 +8,9 @@ keeps the read-only result.  Two propagator routes, both ``Operator``s,
 exist: ``pair_propagator`` evaluates the spectral exponential from it, bit
 for bit ``qla.propagator`` (authoritative), and ``closed_form_propagator``
 is written out entrywise (regression check).  ``full_evolution`` is the
-array of the pair propagator on legs (0,2) and (1,3) of the (target,
-target, source, source) product space; the spin matrices and the pair
-Hamiltonian are arrays too.  The two
+array of ``pair_propagator``'s exponential, never made an ``Operator``, on
+legs (0,2) and (1,3) of the (target, target, source, source) product space;
+the spin matrices and the pair Hamiltonian are arrays too.  The two
 spectral projectors, grouped from the same eigenvectors and checked when
 they are built, give ``transfer.entanglement_curve`` the propagator at every
 time of a grid.
@@ -139,7 +139,7 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
             ],
             dtype=complex,
         )
-        return Operator(u, (2, 2))
+        return Operator(u)
     x1 = np.exp(-1j * t / 2)
     x2 = (np.exp(1j * t) + 2 * np.exp(-1j * t / 2)) / 3
     x3 = np.sqrt(2) * (np.exp(-1j * t / 2) - np.exp(1j * t)) / 3
@@ -156,7 +156,12 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
         ],
         dtype=complex,
     )
-    return Operator(u, (2, 3))
+    return Operator(u)
+
+
+def _pair_exponential(model: TransferModel, t: float) -> np.ndarray:
+    """The array of ``pair_propagator``."""
+    return spectral_exponential(*model.pair_eigh, _real_angle("t", t))
 
 
 def pair_propagator(model: TransferModel, t: float) -> Operator:
@@ -164,14 +169,13 @@ def pair_propagator(model: TransferModel, t: float) -> Operator:
     cached ``pair_eigh``.  ``t`` follows the rule of ``qla._real_angle``, so
     ``full_evolution`` and ``transfer.evolve_reduced`` refuse a non-finite
     or non-real time."""
-    u = spectral_exponential(*model.pair_eigh, _real_angle("t", t))
-    return Operator(u, (2, model.source_dim))
+    return Operator(_pair_exponential(model, t))
 
 
 def full_evolution(model: TransferModel, t: float) -> np.ndarray:
     """Four-particle evolution: the 4d^2 x 4d^2 pair propagator on legs
     (0,2) and (1,3) of the (2, 2, source, source) product space."""
     d = model.source_dim
-    u = pair_propagator(model, t).matrix.reshape(2, d, 2, d)
+    u = _pair_exponential(model, t).reshape(2, d, 2, d)
     full = np.einsum("asAS,brBR->absrABSR", u, u)
     return full.reshape(4 * d * d, 4 * d * d)

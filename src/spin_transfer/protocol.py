@@ -81,9 +81,9 @@ def iterate_transfer(
 
     Both modes collect the ``steps + 1`` scores and the snapshots entering
     each round, and one comprehension makes the records from them.  Both
-    take the Schmidt angle of ``e0`` first, so an ``e0`` outside [0, 1] (or
-    NaN) raises the ValueError of ``schmidt_angle_from_negativity`` before
-    any evolution.
+    take the Schmidt angle of ``e0`` first, so an ``e0`` outside [0, 1], a
+    NaN or a value that is not a number (a string, None) raises the
+    ValueError of ``schmidt_angle_from_negativity`` before any evolution.
 
     In mixed-continuation mode the source channel is checked where it is
     built: unless its rows (x, x) sum to vec(I) within ``POSITIVITY_TOL``
@@ -104,14 +104,15 @@ def iterate_transfer(
     if _count("steps", steps) < 1:
         raise ValueError(f"need at least one step, got {steps}")
     mode = canonical_mode(mode)
+    theta0 = schmidt_angle_from_negativity(e0)
     if mode == MODE_PURE_RESET:
         scores, snapshots = [float(e0)], []
         for _ in range(steps):
-            snapshots.append(schmidt_angle_from_negativity(scores[-1]))
+            snapshots.append(schmidt_angle_from_negativity(scores[-1]) if snapshots else theta0)
             rho = evolve_reduced(QubitPairState(snapshots[-1]), sp, QUTRIT_HALF_PERIOD)
             scores.append(negativity(rho).value)
     else:
-        snapshots = [QubitPairState(schmidt_angle_from_negativity(e0)).density()]
+        snapshots = [QubitPairState(theta0).density()]
         channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
         # trace preservation: vec(I) S = vec(I), the rows (x, x) of S sum to vec(I)
         vec_identity = np.eye(4).ravel()
@@ -123,9 +124,9 @@ def iterate_transfer(
             )
         for _ in range(steps):
             rho = (channel @ snapshots[-1].matrix.ravel()).reshape(4, 4)
-            snapshots.append(Operator(rho, (2, 2)))
+            snapshots.append(Operator(rho))
         stack = np.stack([s.matrix for s in snapshots])
-        scores = clamp_negativity(negativities(stack, (2, 2))).tolist()
+        scores = clamp_negativity(negativities(stack)).tolist()
     return [
         IterationRecord(step, scores[step - 1], scores[step], mode, snapshots[step - 1])
         for step in range(1, steps + 1)

@@ -1,13 +1,13 @@
-"""Dense complex linear algebra on labelled tensor-product spaces.
+"""Dense complex linear algebra on small square matrices.
 
-``Operator`` is the immutable, labelled type of a state or propagator handed
-to a caller; inside the library the Hamiltonian and four-particle layers pass
-plain complex arrays.  ``hermitian_eigh`` is the one checked
-eigendecomposition: ``propagator`` runs it on every call and is the oracle
-the tests compare against, while ``model.TransferModel`` runs it once per
-source dimension and keeps the result, so its pair propagator evaluates
-only ``spectral_exponential`` and its spectral projectors are grouped from
-the same eigenvectors.
+``Operator`` is the immutable type of a state or propagator handed to a
+caller, in the Kronecker basis order (first particle slowest); inside the
+library the Hamiltonian and four-particle layers pass plain complex arrays.
+``hermitian_eigh`` is the one checked eigendecomposition: ``propagator``
+runs it on every call and is the oracle the tests compare against, while
+``model.TransferModel`` runs it once per source dimension and keeps the
+result, so its pair propagator evaluates only ``spectral_exponential`` and
+its spectral projectors are grouped from the same eigenvectors.
 The two cuts the physics makes, target pair | source pair
 (``transfer.evolve_and_reduce``, with ``transfer.source_channel`` its form for
 a pure source and the Fourier components of ``transfer.entanglement_curve``
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import isfinite, prod
+from math import isfinite
 
 import numpy as np
 
@@ -30,11 +30,14 @@ POSITIVITY_TOL = 1e-9
 
 def _real_angle(name: str, value: float) -> float:
     """``value`` as a float, the one rule for a target angle or an
-    evolution time: a value with a non-zero imaginary part or a non-finite
-    value is rejected, and a complex number with zero imaginary part is
-    taken as its real part."""
-    z = complex(value)
-    if z.imag != 0 or not isfinite(z.real):
+    evolution time: a string, a value ``complex()`` refuses, a value with a
+    non-zero imaginary part and a non-finite value raise ValueError naming
+    ``name``; a complex number with zero imaginary part is its real part."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        z = complex("nan")
+    if isinstance(value, str) or z.imag != 0 or not isfinite(z.real):
         raise ValueError(f"{name} must be finite and real, got {value!r}")
     return z.real
 
@@ -50,30 +53,16 @@ def _count(name: str, value: int) -> int:
 
 @dataclass(frozen=True)
 class Operator:
-    """Square complex matrix acting on an ordered product of subsystems.
-
-    ``dims`` lists the subsystem dimensions; their product equals the matrix
-    dimension.  Basis ordering is lexicographic with the first subsystem
-    slowest, i.e. the plain Kronecker-product convention.
-    """
+    """Read-only complex copy of a square matrix, handed to a caller."""
 
     matrix: np.ndarray
-    dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-        if prod(dims) != m.shape[0]:
-            raise ValueError(
-                f"product of dims {dims} is {prod(dims)}, matrix dimension is {m.shape[0]}"
-            )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
 
 
 def hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -63,7 +63,7 @@ class QubitPairState:
 
     def density(self) -> Operator:
         vec = self.state_vector()
-        return Operator(np.outer(vec, vec.conj()), (2, 2))
+        return Operator(np.outer(vec, vec.conj()))
 
     def initial_negativity(self) -> float:
         return abs(float(np.sin(2.0 * self.theta)))
@@ -115,10 +115,10 @@ class QutritPairState:
 
     @classmethod
     def from_label(cls, label: str) -> "QutritPairState":
-        try:
-            return {"A": STATE_A, "B": STATE_B, "C": STATE_C}[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown named state {label!r}; expected A, B or C") from None
+        named = {"A": STATE_A, "B": STATE_B, "C": STATE_C}
+        if isinstance(label, str) and label.upper() in named:
+            return named[label.upper()]
+        raise ValueError(f"unknown named state {label!r}; expected A, B or C")
 
     def amplitudes(self) -> np.ndarray:
         return np.array([self.k0, self.k1, self.k2])
@@ -161,6 +161,9 @@ class TransferTrace:
 
 
 def source_dim(sp: SourceState) -> int:
+    if not isinstance(sp, (QubitPairState, QutritPairState)):
+        name = type(sp).__name__
+        raise ValueError(f"source must be a QubitPairState or a QutritPairState, got {name}")
     return 2 if isinstance(sp, QubitPairState) else 3
 
 
@@ -215,7 +218,7 @@ def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
     """Reduced target-pair state after evolving for time ``t``: evolve the
     full product state unitarily, then trace out the source pair."""
     rho = evolve_and_reduce(full_evolution(model_for_source(sp), t), initial_full_state(tp, sp))
-    return Operator(rho, (2, 2))
+    return Operator(rho)
 
 
 def closed_form_rho12_qubit(theta1: float, theta2: float, t: float) -> XStateCoeffs:

@@ -10,7 +10,7 @@ def random_density(rng: np.random.Generator, dims) -> Operator:
     d = prod(dims)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
-    return Operator(m / np.trace(m), tuple(dims))
+    return Operator(m / np.trace(m))
 
 
 def random_hermitian(rng: np.random.Generator, dims) -> np.ndarray:

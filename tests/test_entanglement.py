@@ -15,7 +15,7 @@ from spin_transfer.entanglement import (
     xstate_negativity_raw,
 )
 from spin_transfer.qla import Operator
-from spin_transfer.transfer import QubitPairState, QutritPairState, closed_form_rho12_qubit
+from spin_transfer.transfer import QubitPairState, closed_form_rho12_qubit
 from spin_transfer.verify import random_xstate
 
 from conftest import random_density, random_unitary
@@ -28,7 +28,7 @@ def schmidt_density(theta: float) -> Operator:
 class TestNegativity:
     def test_product_state_is_zero(self, rng):
         a, b = random_density(rng, (2,)), random_density(rng, (2,))
-        rho = Operator(np.kron(a.matrix, b.matrix), (2, 2))
+        rho = Operator(np.kron(a.matrix, b.matrix))
         assert negativity(rho).value == 0.0
 
     def test_bell_state_is_one(self):
@@ -39,82 +39,65 @@ class TestNegativity:
         expected = abs(np.sin(2 * theta))
         assert negativity(schmidt_density(theta)).value == pytest.approx(expected, abs=1e-12)
 
-    def test_qutrit_pair_reporting_range(self):
-        # for a d x d bipartition the raw value may exceed 1 (up to d - 1)
-        vec = QutritPairState(*(np.ones(3) / np.sqrt(3))).state_vector()
-        rho = Operator(np.outer(vec, vec.conj()), (3, 3))
-        value = negativity(rho)
-        assert value.raw == pytest.approx(2.0, abs=1e-9)
-
-    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
-    def test_unequal_subsystems(self, dims):
-        # cos(0.3)|00> + sin(0.3)|11>; cut as (3, 2) instead of (2, 3), or the
-        # reverse, the same vector is a product state
-        vec = np.zeros(6)
-        vec[0], vec[np.ravel_multi_index((1, 1), dims)] = np.cos(0.3), np.sin(0.3)
-        value = negativity(Operator(np.outer(vec, vec), dims)).value
-        assert value == pytest.approx(np.sin(0.6), abs=1e-12)
-
     def test_local_unitary_invariance(self, rng):
         rho = schmidt_density(0.5)
         base = negativity(rho).value
         for _ in range(5):
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-            rotated = Operator(u @ rho.matrix @ u.conj().T, (2, 2))
+            rotated = Operator(u @ rho.matrix @ u.conj().T)
             assert negativity(rotated).value == pytest.approx(base, abs=1e-9)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
-    def test_separable_mixtures_have_zero_negativity(self, dims, rng):
-        d = dims[0] * dims[1]
-        mix = np.zeros((d, d), dtype=complex)
+    def test_separable_mixtures_have_zero_negativity(self, rng):
+        mix = np.zeros((4, 4), dtype=complex)
         weights = rng.dirichlet(np.ones(6))
         for w in weights:
-            a = random_density(rng, (dims[0],))
-            b = random_density(rng, (dims[1],))
+            a = random_density(rng, (2,))
+            b = random_density(rng, (2,))
             mix += w * np.kron(a.matrix, b.matrix)
-        assert negativity(Operator(mix, dims)).value <= 1e-9
+        assert negativity(Operator(mix)).value <= 1e-9
 
     def test_rejects_non_density(self):
-        bad = Operator(np.eye(4), (2, 2))  # trace 4
+        bad = Operator(np.eye(4))  # trace 4
         with pytest.raises(ValueError, match="density"):
             negativity(bad)
 
-    def test_rejects_states_without_two_subsystems(self):
-        for dims in [(4,), (2, 2, 2)]:
-            rho = random_density(np.random.default_rng(0), dims)
-            with pytest.raises(ValueError, match="two subsystems"):
-                negativity(rho)
+    @pytest.mark.parametrize("d", [2, 6, 8])
+    def test_refuses_a_matrix_that_is_not_4x4(self, d):
+        # the cut is always the target pair's two qubits; a density operator
+        # of any other size is refused by name before it is scored
+        rho = random_density(np.random.default_rng(0), (d,))
+        for score in (negativity, XStateCoeffs.from_operator):
+            with pytest.raises(ValueError, match=rf"4x4 two-qubit state, got shape \({d}, {d}\)"):
+                score(rho)
 
 
-def density_stack(rng, dims, n: int) -> np.ndarray:
-    return np.array([random_density(rng, dims).matrix for _ in range(n)])
+def density_stack(rng, n: int) -> np.ndarray:
+    return np.array([random_density(rng, (2, 2)).matrix for _ in range(n)])
 
 
 class TestNegativityStack:
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
-    def test_one_state_case_is_bit_identical(self, dims, rng):
-        states = density_stack(rng, dims, 100)
-        if dims == (2, 2):  # pure entangled states among the mixed ones
-            states[::3] = [schmidt_density(t).matrix for t in rng.uniform(-2.0, 2.0, 34)]
-        raws = negativities(states, dims)
-        singles = [negativity(Operator(m, dims)).raw for m in states]
+    def test_one_state_case_is_bit_identical(self, rng):
+        states = density_stack(rng, 100)
+        # pure entangled states among the mixed ones
+        states[::3] = [schmidt_density(t).matrix for t in rng.uniform(-2.0, 2.0, 34)]
+        raws = negativities(states)
+        singles = [negativity(Operator(m)).raw for m in states]
         assert raws.tobytes() == np.array(singles).tobytes()
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @given(st.sampled_from([(2, 2), (2, 3), (3, 3)]), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_batch_invariance(self, dims, n, seed):
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_batch_invariance(self, n, seed):
         # each state scores the same bits in a stack as alone, whatever the
         # stack's length, the state's rank and its position
         rng = np.random.default_rng(seed)
-        d = dims[0] * dims[1]
         states = []
         for _ in range(n):
-            rank = rng.integers(1, d + 1)
-            g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            rank = rng.integers(1, 5)
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
             m = g @ g.conj().T
             states.append(m / np.trace(m))
-        stacked = negativities(np.array(states), dims)
-        alone = [negativities(m[None], dims)[0] for m in states]
+        stacked = negativities(np.array(states))
+        alone = [negativities(m[None])[0] for m in states]
         assert stacked.tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize(
@@ -127,11 +110,11 @@ class TestNegativityStack:
         ],
     )
     def test_each_density_check_names_the_first_bad_state(self, index, defect, message, rng):
-        states = density_stack(rng, (2, 2), 5)
+        states = density_stack(rng, 5)
         states[index] = defect(states[index])
         states[4] = defect(states[4])  # a later state with the same defect is not named
         with pytest.raises(ValueError, match=f"not a density operator: {message}"):
-            negativities(states, (2, 2))
+            negativities(states)
 
     def test_range_check_names_the_first_value_outside(self):
         cases = [([0.2, 1.1, -1.0], "1.1"), ([-2e-9, 0.5], "-2e-09"), ([0.0, np.nan], "nan")]
@@ -146,18 +129,17 @@ class TestNegativityStack:
         assert np.signbit(clamped[0]) and not np.signbit(clamped[1])
         assert [min(max(r, 0.0), 1.0) for r in raw] == list(clamped)
 
-    @pytest.mark.parametrize("upper", [1.0, 2.0])
-    def test_clamp_and_from_raw_are_one_rule(self, upper):
+    def test_clamp_and_from_raw_are_one_rule(self):
         # from_raw is the scalar form: the same clamp, sign of zero and message
-        for raw in [-0.0, 0.0, -5e-10, 0.3, upper, upper + 5e-10]:
-            clamped = clamp_negativity(np.array([raw]), upper)[0]
-            value = NegativityValue.from_raw(raw, upper).value
+        for raw in [-0.0, 0.0, -5e-10, 0.3, 1.0, 1.0 + 5e-10]:
+            clamped = clamp_negativity(np.array([raw]))[0]
+            value = NegativityValue.from_raw(raw).value
             assert value == clamped and np.signbit(value) == np.signbit(clamped)
-        for raw in [-2e-9, upper + 2e-9, np.inf, -np.inf, np.nan]:
+        for raw in [-2e-9, 1.0 + 2e-9, np.inf, -np.inf, np.nan]:
             with pytest.raises(ValueError) as array_error:
-                clamp_negativity(np.array([raw]), upper)
+                clamp_negativity(np.array([raw]))
             with pytest.raises(ValueError) as scalar_error:
-                NegativityValue.from_raw(raw, upper)
+                NegativityValue.from_raw(raw)
             assert str(scalar_error.value) == str(array_error.value)
 
 
@@ -191,7 +173,7 @@ class TestXStateStack:
     def test_agrees_with_the_generic_stack(self, n, seed):
         states = xstate_stack(np.random.default_rng(seed), n)
         closed = _xstate_negativities(states)
-        generic = negativities(states, (2, 2))
+        generic = negativities(states)
         assert closed.shape == (n,)
         assert np.abs(closed - generic).max() <= 1e-14
 
@@ -202,7 +184,7 @@ class TestXStateStack:
         # state gets in a stack of any length
         states = xstate_stack(np.random.default_rng(seed), n)
         stacked = _xstate_negativities(states)
-        coeffs = [XStateCoeffs.from_operator(Operator(m, (2, 2))) for m in states]
+        coeffs = [XStateCoeffs.from_operator(Operator(m)) for m in states]
         alone = [negativity_xstate(c).raw for c in coeffs]
         assert stacked.tobytes() == np.array(alone).tobytes()
 
@@ -287,9 +269,6 @@ class TestNegativityValue:
         with pytest.raises(ValueError, match="outside"):
             NegativityValue.from_raw(float("nan"))
 
-    def test_float_conversion(self):
-        assert float(NegativityValue.from_raw(0.25)) == 0.25
-
 
 class TestXStateFormula:
     def test_bell_in_x_form(self):
@@ -366,19 +345,19 @@ class TestXStateFormula:
         m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
         m[0, 1] = np.nan
         with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
-            XStateCoeffs.from_operator(Operator(m, (2, 2)))
+            XStateCoeffs.from_operator(Operator(m))
         m[0, 1], m[1, 1] = 0.0, complex(0.25, np.nan)
         with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
-            XStateCoeffs.from_operator(Operator(m, (2, 2)))
+            XStateCoeffs.from_operator(Operator(m))
 
     def test_from_operator_rejects_a_non_hermitian_corner(self):
         # rho_30 must be conj(rho_03), within DEFAULT_ALGEBRAIC_TOL
         m = with_coherence(np.diag([0.25, 0.25, 0.25, 0.25]), 0.2j)
         m[3, 0] = 0.2j
         with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} 4.000e-01"):
-            XStateCoeffs.from_operator(Operator(m, (2, 2)))
+            XStateCoeffs.from_operator(Operator(m))
         m[3, 0] = -0.2j + 1e-11
-        assert XStateCoeffs.from_operator(Operator(m, (2, 2))).f == 0.2j
+        assert XStateCoeffs.from_operator(Operator(m)).f == 0.2j
 
     def test_from_operator_runs_the_stack_check(self, rng):
         # refused exactly when the first check of the stack scorer refuses
@@ -391,10 +370,10 @@ class TestXStateFormula:
                 _check_x_form(m[None])
             except ValueError as stack_error:
                 with pytest.raises(ValueError) as error:
-                    XStateCoeffs.from_operator(Operator(m, (2, 2)))
+                    XStateCoeffs.from_operator(Operator(m))
                 assert str(error.value) == str(stack_error)
             else:
-                coeffs = XStateCoeffs.from_operator(Operator(m, (2, 2)))
+                coeffs = XStateCoeffs.from_operator(Operator(m))
                 assert coeffs.to_operator().matrix.tobytes() == m.tobytes()
 
 

@@ -111,9 +111,9 @@ class TestMixedContinuation:
         scored = []
         original = protocol.negativities
 
-        def spy(states, dims):
+        def spy(states):
             scored.append(states)
-            return original(states, dims)
+            return original(states)
 
         monkeypatch.setattr(protocol, "negativities", spy)
         monkeypatch.setattr(protocol, "negativity", lambda rho: scored.append([rho]))
@@ -145,7 +145,7 @@ class TestValidation:
             iterate_transfer(0.2, STATE_A, 0)
 
     @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
-    @pytest.mark.parametrize("e0", [1.5, -0.1, np.nan])
+    @pytest.mark.parametrize("e0", [1.5, -0.1, np.nan, "0.2", None])
     def test_bad_e0_raises_before_any_evolution(self, mode, e0, monkeypatch):
         calls = []
         original = protocol.full_evolution

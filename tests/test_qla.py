@@ -9,7 +9,7 @@ from spin_transfer.qla import DEFAULT_ALGEBRAIC_TOL, Operator, hermitian_eigh, p
 from conftest import max_abs, random_density, random_hermitian
 
 def identity(dims) -> Operator:
-    return Operator(np.eye(int(np.prod(dims))), tuple(dims))
+    return Operator(np.eye(int(np.prod(dims))))
 
 
 def taylor_exp(m: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -24,11 +24,7 @@ def taylor_exp(m: np.ndarray, terms: int = 40) -> np.ndarray:
 class TestOperator:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            Operator(np.zeros((2, 3)), (2,))
-
-    def test_rejects_dims_mismatch(self):
-        with pytest.raises(ValueError, match="dims"):
-            Operator(np.eye(4), (2, 3))
+            Operator(np.zeros((2, 3)))
 
     def test_matrix_is_immutable(self):
         op = identity((2, 2))

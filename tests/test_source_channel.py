@@ -63,7 +63,7 @@ def oracle_iterate_mixed(e0: float, sp: QutritPairState, steps: int) -> list[tup
     rows = []
     for _ in range(steps):
         snapshot = rho_tp
-        rho_tp = Operator(evolve_and_reduce(u, np.kron(rho_tp.matrix, sp_density)), (2, 2))
+        rho_tp = Operator(evolve_and_reduce(u, np.kron(rho_tp.matrix, sp_density)))
         e_after = negativity(rho_tp).value
         purity = float(np.real(np.trace(snapshot.matrix @ snapshot.matrix)))
         rows.append((e, e_after, purity))
@@ -81,7 +81,7 @@ def per_step_iterate_mixed(e0: float, sp: QutritPairState, steps: int) -> list[I
     records = []
     for step in range(1, steps + 1):
         snapshot = rho_tp
-        rho_tp = Operator((channel @ rho_tp.matrix.ravel()).reshape(4, 4), (2, 2))
+        rho_tp = Operator((channel @ rho_tp.matrix.ravel()).reshape(4, 4))
         e_after = negativity(rho_tp).value
         records.append(IterationRecord(step, e, e_after, MODE_MIXED, snapshot))
         e = e_after

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spin_transfer.entanglement import XStateCoeffs, clamp_negativity, negativities, negativity
-from spin_transfer.model import TransferModel, closed_form_propagator, pair_propagator
+from spin_transfer.model import (
+    TransferModel,
+    closed_form_propagator,
+    full_evolution,
+    pair_propagator,
+)
 from spin_transfer.qla import POSITIVITY_TOL
 from spin_transfer.qla import Operator
 from spin_transfer.transfer import (
@@ -32,6 +37,17 @@ from spin_transfer.transfer import (
 )
 
 from conftest import max_abs, random_density, random_unitary, trace_out_sources
+
+
+QUBIT_MODEL, QUTRIT_MODEL = TransferModel.for_source_dim(2), TransferModel.for_source_dim(3)
+QUBIT_SOURCE = QubitPairState(0.5)
+
+#: Two entry points of the rule of qla._real_angle, by the name it reports:
+#: a target angle and an evolution time.
+REAL_RULE_ENTRIES = {
+    "theta": QubitPairState,
+    "t": lambda t: evolve_reduced(QubitPairState(0.3), STATE_A, t),
+}
 
 
 def random_qutrit_state(rng) -> QutritPairState:
@@ -94,8 +110,10 @@ class TestStates:
         assert QutritPairState.from_label("a") == STATE_A
         assert QutritPairState.from_label("B") == STATE_B
         assert QutritPairState.from_label("C") == STATE_C
-        with pytest.raises(ValueError, match="unknown"):
-            QutritPairState.from_label("D")
+        for label in ["D", 1, None]:
+            message = f"^unknown named state {label!r}; expected A, B or C$"
+            with pytest.raises(ValueError, match=message):
+                QutritPairState.from_label(label)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
@@ -143,7 +161,7 @@ class TestInitialFullState:
 
     def test_tp_marginal_negativity(self):
         rho = initial_full_state(QubitPairState(np.pi / 4), STATE_A)
-        reduced = Operator(trace_out_sources(rho), (2, 2))
+        reduced = Operator(trace_out_sources(rho))
         assert negativity(reduced).value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -239,6 +257,31 @@ class TestEvolveReduced:
             e2 = negativity(evolve_reduced(tp, sp, t + QUTRIT_SOURCE_PERIOD)).value
             assert abs(e1 - e2) < 1e-9
 
+    @pytest.mark.parametrize("sp", [QUBIT_SOURCE, STATE_A], ids=["qubit", "qutrit"])
+    def test_builds_one_operator_and_full_evolution_none(self, sp, monkeypatch):
+        # the four-particle layers pass arrays; the reduced state handed back
+        # is the one Operator of the call
+        built = []
+        original = Operator.__post_init__
+
+        def counted(op):
+            built.append(op)
+            original(op)
+
+        monkeypatch.setattr(Operator, "__post_init__", counted)
+        full_evolution(model_for_source(sp), 1.0)
+        assert built == []
+        rho = evolve_reduced(QubitPairState(0.3), sp, 1.0)
+        assert len(built) == 1 and built[0] is rho
+
+    @pytest.mark.parametrize("sp", ["A", None, STATE_A.amplitudes()], ids=["str", "None", "array"])
+    def test_source_of_another_type_is_refused_by_name(self, sp):
+        message = f"source must be a QubitPairState or a QutritPairState, got {type(sp).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            evolve_reduced(QubitPairState(0.3), sp, 1.0)
+        with pytest.raises(ValueError, match=message):
+            entanglement_curve(QubitPairState(0.3), sp, [0.0, 1.0])
+
     def test_half_period_identity_small_grid(self):
         for t1 in np.linspace(0, np.pi / 2, 5):
             for t2 in np.linspace(0, np.pi / 2, 5):
@@ -299,8 +342,6 @@ class TestClosedFormAngles:
         )
 
 
-QUBIT_MODEL, QUTRIT_MODEL = TransferModel.for_source_dim(2), TransferModel.for_source_dim(3)
-QUBIT_SOURCE = QubitPairState(0.5)
 
 #: Every function of an evolution time ``t``, as a function of ``t`` alone
 #: whose result is an array.
@@ -319,7 +360,7 @@ TIME_FORMS = {
 class TestTimeRule:
     """Every propagator time and both transcriptions take the one rule of
     qla._real_angle; ``full_evolution`` and ``evolve_reduced`` take it
-    through ``pair_propagator``."""
+    through the helper behind ``pair_propagator``."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1 + 1j])
@@ -333,6 +374,32 @@ class TestTimeRule:
     def test_zero_imaginary_part_is_dropped_bit_for_bit(self, form):
         assert form(1 + 0j).tobytes() == form(1.0).tobytes()
         assert form(np.complex128(1.0)).tobytes() == form(1.0).tobytes()
+
+
+@pytest.mark.parametrize("name", REAL_RULE_ENTRIES)
+class TestRealRuleNamesTheField:
+    """Whatever the rule of qla._real_angle refuses, it refuses with one
+    ValueError naming the field."""
+
+    def refused(self, name, value):
+        message = f"{name} must be finite and real, got {value!r}"
+        with pytest.raises(ValueError) as error:
+            REAL_RULE_ENTRIES[name](value)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("value", ["pi/4", "x", ""])
+    def test_malformed_string(self, name, value):
+        self.refused(name, value)
+
+    @pytest.mark.parametrize("value", ["0.3", "1", "1+0j"])
+    def test_numeric_string(self, name, value):
+        self.refused(name, value)
+
+    @pytest.mark.parametrize(
+        "value", [None, [0.3], object(), 10**400], ids=["None", "list", "object", "big-int"]
+    )
+    def test_value_complex_refuses(self, name, value):
+        self.refused(name, value)
 
 
 class TestClosedFormQutrit:
@@ -510,7 +577,7 @@ def pure_state_curve(tp: QubitPairState, sp, times: np.ndarray) -> np.ndarray:
     phases = np.multiply.outer(times, -(hi - lo) * np.arange(3))
     psi = np.tensordot(np.exp(1j * phases), chi, axes=1)
     rho = np.einsum("nas,nbs->nab", psi, psi.conj())
-    return clamp_negativity(negativities(rho, (2, 2)))
+    return clamp_negativity(negativities(rho))
 
 
 @pytest.mark.parametrize(

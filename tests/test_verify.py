@@ -11,7 +11,7 @@ from spin_transfer.qla import Operator
 
 
 def nan_operator(op: Operator) -> Operator:
-    return Operator(np.full_like(op.matrix, np.nan), op.dims)
+    return Operator(np.full_like(op.matrix, np.nan))
 
 
 def nan_negativity(value):
