@@ -170,10 +170,8 @@ def _two_qubit_matrix(rho: Operator) -> np.ndarray:
 
 
 def negativity(rho: Operator) -> NegativityValue:
-    """Negativity of a 4x4 two-qubit state ``rho``; the one-state case of
-    ``negativities``."""
-    raw = float(negativities(_two_qubit_matrix(rho)[None])[0])
-    return NegativityValue.from_raw(raw)
+    """Negativity of a 4x4 two-qubit state ``rho``, one state of ``negativities``."""
+    return NegativityValue.from_raw(float(negativities(_two_qubit_matrix(rho)[None])[0]))
 
 
 def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:
@@ -198,4 +196,4 @@ def schmidt_angle_from_negativity(value: float) -> float:
         inside = False
     if not inside:
         raise ValueError(f"negativity {value!r} outside [0, 1]")
-    return 0.5 * float(np.arcsin(value))
+    return 0.5 * float(np.arcsin(float(value)))

@@ -33,13 +33,15 @@ def _real_angle(name: str, value: float) -> float:
     evolution time: a string, a value ``complex()`` refuses, a value with a
     non-zero imaginary part and a non-finite value raise ValueError naming
     ``name``; a complex number with zero imaginary part is its real part."""
-    try:
-        z = complex(value)
-    except (TypeError, ValueError, OverflowError):
-        z = complex("nan")
-    if isinstance(value, str) or z.imag != 0 or not isfinite(z.real):
-        raise ValueError(f"{name} must be finite and real, got {value!r}")
-    return z.real
+    if not isinstance(value, str):
+        try:
+            z = complex(value)
+        except (TypeError, ValueError, OverflowError):
+            pass  # refused below, with the other cases
+        else:
+            if z.imag == 0 and isfinite(z.real):
+                return z.real
+    raise ValueError(f"{name} must be finite and real, got {value!r}")
 
 
 def _count(name: str, value: int) -> int:

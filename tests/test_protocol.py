@@ -164,6 +164,12 @@ class TestValidation:
         assert calls
 
     @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
+    def test_e0_is_taken_at_double_precision(self, mode):
+        # a float32 e0 is the same number as its float: its Schmidt angle is not a float32's
+        e0 = np.float32(0.3)
+        assert after_values(e0, STATE_A, 3, mode) == after_values(float(e0), STATE_A, 3, mode)
+
+    @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
     def test_step_count_is_an_integer(self, mode, monkeypatch):
         calls = []
         monkeypatch.setattr(protocol, "full_evolution", lambda *args: calls.append(args))

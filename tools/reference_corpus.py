@@ -56,10 +56,10 @@ def _value(x) -> str:
     return repr(float(x))
 
 
-def fig2_runs(items: int = 100) -> list[list[str]]:
+def fig2_runs() -> list[list[str]]:
     rng = np.random.default_rng(0)
     runs = []
-    for _ in range(items):
+    for _ in range(100):
         theta1, theta2 = rng.uniform(-3.0, 3.0, 2)
         t_start, t_stop = rng.uniform(-50.0, 50.0, 2)
         points = int(rng.integers(2, 400))
@@ -71,10 +71,10 @@ def fig2_runs(items: int = 100) -> list[list[str]]:
     return runs
 
 
-def iterate_runs(items: int = 300) -> list[list[str]]:
+def iterate_runs() -> list[list[str]]:
     rng = np.random.default_rng(1)
     runs = []
-    for _ in range(items):
+    for _ in range(300):
         source = ",".join(_value(k) for k in np.sqrt(rng.dirichlet((1.0, 1.0, 1.0))))
         e0 = _value(rng.uniform(0.0, 1.0))
         for mode in ("pure-reset", "mixed"):
@@ -82,16 +82,16 @@ def iterate_runs(items: int = 300) -> list[list[str]]:
     return runs
 
 
-def maximize_runs(items: int = 60) -> list[list[str]]:
+def maximize_runs() -> list[list[str]]:
     rng = np.random.default_rng(2)
     runs = []
-    for theta1 in rng.uniform(-3.0, 3.0, items):
+    for theta1 in rng.uniform(-3.0, 3.0, 60):
         for budget in MAXIMIZE_BUDGETS:
             runs.append(["maximize", "--theta1", _value(theta1), "--budget", budget])
     return runs
 
 
-#: family -> argument lists of its first ``items`` items (all of them by default)
+#: family -> its argument lists
 FAMILIES = {"fig2": fig2_runs, "iterate": iterate_runs, "maximize": maximize_runs}
 
 
