@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator
+from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator, _typed
 
 X_PATTERN = np.array(
     [
@@ -163,10 +163,12 @@ def _reject(name: str, values: np.ndarray, ok: np.ndarray) -> None:
 
 
 def _two_qubit_matrix(rho: Operator) -> np.ndarray:
-    """The matrix of ``rho``; ValueError naming its shape unless it is 4x4."""
-    if rho.matrix.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.matrix.shape}")
-    return rho.matrix
+    """The matrix of ``rho``; ValueError naming its type unless it is an
+    ``Operator``, then naming its shape unless it is 4x4."""
+    m = _typed("rho", rho, Operator).matrix
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit state, got shape {m.shape}")
+    return m
 
 
 def negativity(rho: Operator) -> NegativityValue:
@@ -178,6 +180,7 @@ def negativity_xstate(coeffs: XStateCoeffs) -> NegativityValue:
     """Closed-form negativity of an X state,
     max(0, sqrt((b - c)^2 + 4 |f|^2) - (b + c)): the one-state case of
     ``_xstate_negativities`` on ``coeffs.to_operator()``."""
+    coeffs = _typed("coeffs", coeffs, XStateCoeffs)
     raw = _xstate_negativities(coeffs.to_operator().matrix[None])[0]
     return NegativityValue.from_raw(float(raw))
 
@@ -189,9 +192,11 @@ def xstate_negativity_raw(b, c, f_abs):
 
 def schmidt_angle_from_negativity(value: float) -> float:
     """Angle theta in [0, pi/4] whose Schmidt state cos(theta)|00> +
-    sin(theta)|11> has the requested negativity |sin 2 theta|."""
+    sin(theta)|11> has the requested negativity |sin 2 theta|.  A value
+    outside [0, 1], a NaN, a complex value (numpy would order it by its real
+    part) or one that is not a number raises ValueError."""
     try:
-        inside = 0.0 <= value <= 1.0
+        inside = not np.iscomplexobj(value) and 0.0 <= value <= 1.0
     except TypeError:  # not comparable with a number: a string, None
         inside = False
     if not inside:

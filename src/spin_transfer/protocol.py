@@ -82,7 +82,7 @@ def iterate_transfer(
     Both modes collect the ``steps + 1`` scores and the snapshots entering
     each round, and one comprehension makes the records from them.  Both
     take the Schmidt angle of ``e0`` first, so an ``e0`` outside [0, 1], a
-    NaN or a value that is not a number (a string, None) raises the
+    NaN, a complex value or a value that is not a number (a string, None) raises the
     ValueError of ``schmidt_angle_from_negativity`` before any evolution.
 
     In mixed-continuation mode the source channel is checked where it is

@@ -53,6 +53,15 @@ def _count(name: str, value: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _typed(name: str, value, cls: type):
+    """``value`` itself if it is a ``cls``, the one rule for a state, a
+    budget, an ``Operator`` or an ``XStateCoeffs`` where it enters: any other
+    type raises ValueError naming ``name`` and the type it got."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Operator:
     """Read-only complex copy of a square matrix, handed to a caller."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .entanglement import xstate_negativity_raw
 from .model import TransferModel, full_evolution
-from .qla import POSITIVITY_TOL, _count, _real_angle
+from .qla import POSITIVITY_TOL, _count, _real_angle, _typed
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     STATE_A,
@@ -71,6 +71,7 @@ class InvariantPoint:
 
 def invariants(state: QutritPairState) -> InvariantPoint:
     """Invariant pair of a normalized Schmidt-form two-qutrit state."""
+    state = _typed("state", state, QutritPairState)
     return InvariantPoint.from_probabilities(state.amplitudes() ** 2)
 
 
@@ -224,6 +225,7 @@ def maximize_E12_half_period(
     non-negative and normalized by construction), and ``evaluations``
     counts the grid points scored.
     """
+    budget = _typed("budget", budget, SearchBudget)
     forms = _half_period_forms(theta1)
     lo = np.array([0.0, 0.0])
     hi = np.array([np.pi / 2, np.pi / 2])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .entanglement import XStateCoeffs, _xstate_negativities, clamp_negativity
 from .model import SUPPORTED_SOURCE_DIMS, TransferModel, full_evolution
-from .qla import Operator, _count, _real_angle
+from .qla import Operator, _count, _real_angle, _typed
 
 QUBIT_SOURCE_PERIOD = 2.0 * np.pi
 QUTRIT_SOURCE_PERIOD = 4.0 * np.pi / 3.0
@@ -217,6 +217,7 @@ def source_channel(u: np.ndarray, sp: SourceState) -> np.ndarray:
 def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
     """Reduced target-pair state after evolving for time ``t``: evolve the
     full product state unitarily, then trace out the source pair."""
+    tp = _typed("tp", tp, QubitPairState)
     rho = evolve_and_reduce(full_evolution(model_for_source(sp), t), initial_full_state(tp, sp))
     return Operator(rho)
 
@@ -253,6 +254,7 @@ def closed_form_rho12_qutrit(theta1: float, sp: QutritPairState, t: float) -> XS
     rule of ``qla._real_angle``.
     """
     theta1, t = _real_angle("theta1", theta1), _real_angle("t", t)
+    sp = _typed("sp", sp, QutritPairState)
     k0, k1, k2 = sp.k0, sp.k1, sp.k2
     c, s = np.cos(theta1), np.sin(theta1)
     e32 = np.exp(3j * t / 2)
@@ -291,12 +293,15 @@ def qutrit_closed_form_discrepancy(
     the numeric pipeline over a deterministic sample of (theta1, k, t).
 
     Includes the revival endpoints t = 0 and t = 4*pi/3, where the two
-    routes agree exactly.  ``seed`` and ``n_samples`` must be integers.
+    routes agree exactly.  ``seed`` and ``n_samples`` must be integers, and
+    ``n_samples`` at least 1.
     """
+    if _count("n_samples", n_samples) < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     rng = np.random.default_rng(_count("seed", seed))
     rows: list[dict[str, float]] = []
     special_t = (0.0, QUTRIT_HALF_PERIOD, QUTRIT_SOURCE_PERIOD)
-    for i in range(_count("n_samples", n_samples)):
+    for i in range(n_samples):
         theta1 = rng.uniform(0.0, np.pi / 4)
         amps = np.sqrt(rng.dirichlet((1.0, 1.0, 1.0)))
         sp = QutritPairState(*amps)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -145,7 +147,7 @@ class TestValidation:
             iterate_transfer(0.2, STATE_A, 0)
 
     @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
-    @pytest.mark.parametrize("e0", [1.5, -0.1, np.nan, "0.2", None])
+    @pytest.mark.parametrize("e0", [1.5, -0.1, np.nan, "0.2", None, 0.5 + 0j, np.complex128(0.5)])
     def test_bad_e0_raises_before_any_evolution(self, mode, e0, monkeypatch):
         calls = []
         original = protocol.full_evolution
@@ -157,7 +159,8 @@ class TestValidation:
         # pure reset evolves through transfer.evolve_reduced, mixed mode here
         monkeypatch.setattr(protocol, "full_evolution", counted)
         monkeypatch.setattr(transfer, "full_evolution", counted)
-        with pytest.raises(ValueError, match=rf"^negativity {e0!r} outside \[0, 1\]$"):
+        message = rf"^negativity {re.escape(repr(e0))} outside \[0, 1\]$"
+        with pytest.raises(ValueError, match=message):
             iterate_transfer(e0, STATE_A, 2, mode)
         assert calls == []
         iterate_transfer(0.2, STATE_A, 2, mode)
