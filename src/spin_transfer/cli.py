@@ -7,7 +7,9 @@ transfer), maximize (single-angle search), verify (self-check report).
 else the same-named key of the ``--config`` JSON file, else the default.
 Every command also takes --out, --seed and --config.  The --out suffix
 selects CSV or JSON (maximize and verify write JSON only).  Identical
-configuration and seed produce byte-identical files.
+configuration and seed produce byte-identical files.  fig2 evolves one
+state per time point, then checks and scores the whole stack at once: one
+X-pattern check, one ``negativities`` call and one clamp per run.
 
 Exit codes: 0 success, 2 configuration error (unknown flag or config key;
 malformed, non-finite or out-of-range value; wrong --out suffix), 3
@@ -27,7 +29,7 @@ from typing import Any, Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .entanglement import XStateCoeffs, negativity
+from .entanglement import _check_x_form, clamp_negativity, negativities
 from .protocol import MODE_PURE_RESET, canonical_mode, iterate_transfer, snapshot_purity
 from .qutritmax import (
     FIG3_THETA_GRID,
@@ -129,15 +131,14 @@ def parse_budget(text: Any) -> SearchBudget:
         raise ConfigError(f"budget {text!r}, want coarse[:refinements[:shrink]]: {exc}") from exc
 
 
-def format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    """CSV with each float (``np.float64`` too) to 12 significant digits,
+    -0.0 as ``-0``, and any other value, an int or a string, as ``str``."""
     lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    lines.extend(
+        ",".join(format(v, ".12g") if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
@@ -175,23 +176,13 @@ def cmd_fig2(cfg: argparse.Namespace) -> int:
     """Qubit-source negativity sweep over time."""
     tp = QubitPairState(cfg.theta1)
     sp = QubitPairState(cfg.theta2)
-    rows = []
-    for t in np.linspace(cfg.t_start, cfg.t_stop, cfg.t_points):
-        rho = evolve_reduced(tp, sp, t)
-        coeffs = XStateCoeffs.from_operator(rho)
-        rows.append(
-            [
-                float(t),
-                negativity(rho).value,
-                coeffs.a,
-                coeffs.b,
-                coeffs.c,
-                coeffs.d,
-                coeffs.f.real,
-                coeffs.f.imag,
-            ]
-        )
-    write_table(cfg.out, ["t", "E12", "A", "B", "C", "D", "ReF", "ImF"], rows)
+    times = np.linspace(cfg.t_start, cfg.t_stop, cfg.t_points)
+    states = np.stack([evolve_reduced(tp, sp, t).matrix for t in times])
+    _check_x_form(states)  # every row is an X state: its coefficients are the table
+    e12 = clamp_negativity(negativities(states))
+    f = states[:, 0, 3]
+    table = np.column_stack([times, e12, states.diagonal(axis1=1, axis2=2).real, f.real, f.imag])
+    write_table(cfg.out, ["t", "E12", "A", "B", "C", "D", "ReF", "ImF"], table.tolist())
     return EXIT_OK
 
 

@@ -2,17 +2,18 @@
 
 The generic route (eigenvalues of the partial transpose) is written once, for
 a stack of states: ``negativities`` scores every state of a
-mixed-continuation staircase in one call, and ``negativity``, its one-state
-case, scores every pure-reset step and ``fig2`` row.  A state scores the same
-bits in a stack of any length as alone.  The X-state closed form serves the
-states that keep the X pattern, under one acceptance rule: the checks of
-``_xstate_negativities``, the density checks of ``negativities`` written for
-that pattern (its least eigenvalue is exact).  It checks and scores a whole
-time grid of ``transfer.entanglement_curve``, and ``negativity_xstate`` is
-its one-state case; its Hermiticity and X-pattern check guards
-``XStateCoeffs.from_operator``.  The same formula scores the half-period
-quadratic forms behind ``qutritmax.negativity_at_half_period`` and the
-half-period search.  Every score is clamped to [0, 1] by one rule,
+mixed-continuation staircase, and every row of a ``fig2`` table, in one
+call, and ``negativity``, its one-state case, scores every pure-reset step.
+A state scores the same bits in a stack of any length as alone.  The X-state
+closed form serves the states that keep the X pattern, under one acceptance
+rule: the checks of ``_xstate_negativities``, the density checks of
+``negativities`` written for that pattern (its least eigenvalue is exact).
+It checks and scores a whole time grid of ``transfer.entanglement_curve``,
+and ``negativity_xstate`` is its one-state case; its Hermiticity and
+X-pattern check, ``_check_x_form``, guards ``XStateCoeffs.from_operator``
+and the coefficient columns of a ``fig2`` table.  The same formula scores
+the half-period quadratic forms behind ``qutritmax.negativity_at_half_period``
+and the half-period search.  Every score is clamped to [0, 1] by one rule,
 ``clamp_negativity``, of which ``NegativityValue.from_raw`` is the
 one-element case.
 """
@@ -149,7 +150,8 @@ def _xstate_negativities(states: np.ndarray) -> np.ndarray:
 
 def _check_x_form(states: np.ndarray) -> None:
     """The Hermiticity and X-pattern check of ``_xstate_negativities``, which
-    ``XStateCoeffs.from_operator`` runs alone."""
+    ``XStateCoeffs.from_operator`` runs alone on one state and
+    ``cli.cmd_fig2`` on its whole table."""
     defect = abs(states - np.where(X_PATTERN, states.conj().swapaxes(1, 2), 0.0))
     defect = defect.max(axis=(1, 2))
     _reject("Hermiticity or X-pattern defect", defect, defect <= DEFAULT_ALGEBRAIC_TOL)

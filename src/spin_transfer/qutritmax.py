@@ -164,7 +164,11 @@ class SearchBudget:
     def __post_init__(self) -> None:
         for name in ("coarse", "refinements"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
-        if self.coarse < 2 or self.refinements < 0 or not 1.0 < self.shrink < np.inf:
+        try:
+            shrink_ok = 1.0 < self.shrink < np.inf
+        except (TypeError, ValueError):  # not comparable with a number: a string, None
+            raise ValueError(f"shrink must be a real number, got {self.shrink!r}") from None
+        if self.coarse < 2 or self.refinements < 0 or not shrink_ok:
             raise ValueError(f"invalid search budget {self}")
 
 
@@ -307,11 +311,15 @@ class LowerBoundary:
 def extract_lower_boundary(grid_points: int = 1201, bins: int = 600) -> LowerBoundary:
     """Sweep the amplitude simplex densely and record, per I1' bin, the
     sample of least I2' (at its own abscissa, which avoids binning bias).
-    A count below 2 ``grid_points`` or 1 bin, or not an integer, raises ValueError."""
-    if not grid_points >= 2:
-        raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
-    if not bins >= 1:
-        raise ValueError(f"bins must be at least 1, got {bins!r}")
+    A count below 2 ``grid_points`` or 1 bin, or not an integer, raises
+    ValueError naming it."""
+    for name, value, least in (("grid_points", grid_points, 2), ("bins", bins, 1)):
+        try:
+            small = not value >= least
+        except (TypeError, ValueError):  # not comparable with a number: _count refuses it
+            small = False
+        if small:
+            raise ValueError(f"{name} must be at least {least}, got {value!r}")
     grid_points, bins = _count("grid_points", grid_points), _count("bins", bins)
     axis = np.linspace(0.0, np.pi / 2, grid_points)
     p = _grid_amplitudes(axis, axis) ** 2

@@ -7,17 +7,18 @@ array by the four-particle propagator and traces out the source pair.
 ``source_channel`` is the same cut for a pure source, written as the 16x16
 matrix of the map it makes on the target state; the mixed-continuation
 staircase builds it once per run.  The numeric pipeline (``evolve_reduced``)
-is authoritative: it is the route of ``fig2``, ``verify`` and the pure-reset
-staircase, and the oracle of ``entanglement_curve``.
+is authoritative: it is the route of ``fig2`` (one call per time point),
+``verify`` and the pure-reset staircase, and the oracle of
+``entanglement_curve``.
 The curve takes the spectral route instead: each pair propagator is
 exp(-i lambda_minus t) P_minus + exp(-i lambda_plus t) P_plus, so the reduced
 state is a five-term Fourier sum of fixed 4x4 matrices and a whole time grid
 is one matrix product.  Each leg conserves its own S_z, so every state on the
 curve is an X state, scored by the X-state closed form under the density
-checks of ``negativities``; the generic partial-transpose route
-(``negativity`` and its stacked form ``negativities``) scores ``fig2`` and
-both staircases.  The analytic coefficient functions are regression
-artifacts.
+checks of ``negativities``; the generic partial-transpose route scores
+``fig2`` and the mixed staircase as one stack (``negativities``) and the
+pure-reset staircase one state at a time (``negativity``).  The analytic
+coefficient functions are regression artifacts.
 For a qutrit source one transcribed analytic coefficient is wrong: between
 the revival times the inner diagonal entry b (= c) departs from the numeric
 pipeline, while a, d and f match it to rounding;
@@ -74,9 +75,14 @@ _AMPLITUDE_NAMES = ("k0", "k1", "k2")
 
 def _amplitude(name: str, value: float) -> float:
     """``value`` as a float, with -0.0 as 0.0; negative and non-real values
-    are rejected, since a sign or phase changes the dynamics."""
-    real = float(np.real(value))
-    if np.imag(value) != 0 or real < 0:
+    are rejected, since a sign or phase changes the dynamics, and so is a
+    value that is not a number or does not fit a float (None, 10**400)."""
+    try:
+        real = float(np.real(value))
+        refused = np.imag(value) != 0 or real < 0
+    except (TypeError, ValueError, OverflowError):
+        refused = True
+    if refused:
         raise ValueError(f"amplitude {name} = {value!r} is not a non-negative real number")
     return real + 0.0
 

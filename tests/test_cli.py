@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from spin_transfer.cli import (
     ConfigError,
@@ -12,9 +18,11 @@ from spin_transfer.cli import (
     parse_angle,
     parse_budget,
     parse_source_state,
+    write_csv,
 )
+from spin_transfer.entanglement import XStateCoeffs, negativity
 from spin_transfer.qutritmax import SearchBudget
-from spin_transfer.transfer import STATE_A, STATE_B
+from spin_transfer.transfer import STATE_A, STATE_B, QubitPairState, evolve_reduced
 
 
 def read_csv(path):
@@ -99,6 +107,73 @@ class TestFig2:
     def test_bad_grid_rejected(self, tmp_path):
         code = main(["fig2", "--t-points", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    # no shrink phase: a failing example is reported as drawn, since shrinking
+    # one that scores three 399-point tables takes minutes
+    @settings(
+        derandomize=True,
+        max_examples=30,
+        deadline=None,
+        database=None,
+        phases=[Phase.explicit, Phase.generate],
+    )
+    @given(
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-50.0, 50.0),
+        st.floats(-50.0, 50.0),
+        st.sampled_from([2, 3, 61, 399]),
+    )
+    @example(np.pi / 4, np.pi / 4, 0.0, 2 * np.pi, 61)  # E12 of 22 rows is -0.0
+    def test_stacked_table_is_the_per_row_table(self, theta1, theta2, t_start, t_stop, points):
+        """The CSV and JSON files are those of the per-row route: one
+        ``evolve_reduced``, ``from_operator`` and ``negativity`` per time."""
+        rows = fig2_rows_per_row(theta1, theta2, t_start, t_stop, points)
+        header = ["t", "E12", "A", "B", "C", "D", "ReF", "ImF"]
+        want = {
+            ".csv": "\n".join([",".join(header)] + [",".join(map(format_value, r)) for r in rows]),
+            ".json": json.dumps({"header": header, "rows": rows}, indent=2, sort_keys=True),
+        }
+        values = [theta1, theta2, t_start, t_stop]
+        argv = ["fig2"] + [f"--{n}={v!r}" for n, v in zip(FIG2_ANGLES, values)]
+        argv.append(f"--t-points={points}")
+        with tempfile.TemporaryDirectory() as tmp:
+            for suffix, text in want.items():
+                out = Path(tmp) / f"fig2{suffix}"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv + ["--out", str(out)]) == 0
+                assert out.read_text() == text + "\n"
+
+
+FIG2_ANGLES = ("theta1", "theta2", "t-start", "t-stop")
+
+
+def format_value(value):
+    """The CSV rule of one value, as a function."""
+    return format(value, ".12g") if isinstance(value, float) else str(value)
+
+
+def fig2_rows_per_row(theta1, theta2, t_start, t_stop, points):
+    """The fig2 table scored one row at a time."""
+    tp, sp = QubitPairState(theta1), QubitPairState(theta2)
+    rows = []
+    for t in np.linspace(t_start, t_stop, points):
+        rho = evolve_reduced(tp, sp, t)
+        coeffs = XStateCoeffs.from_operator(rho)
+        e12 = negativity(rho).value
+        f = coeffs.f
+        rows.append([float(t), e12, coeffs.a, coeffs.b, coeffs.c, coeffs.d, f.real, f.imag])
+    return rows
+
+
+def test_csv_value_format(tmp_path, capsys):
+    """An int and a string as ``str``; a Python or numpy float to 12
+    significant digits; -0.0 as ``-0``."""
+    out = tmp_path / "t.csv"
+    row = [3, "mixed", 0.1, np.float64(1 / 3), -0.0, np.float64(-0.0), 1e-20, 2.0**60]
+    write_csv(out, ["a"], [row])
+    assert out.read_text() == "a\n3,mixed,0.1,0.333333333333,-0,-0,1e-20,1.15292150461e+18\n"
+    assert capsys.readouterr().out == f"wrote {out}\n"
 
 
 class TestFig3:

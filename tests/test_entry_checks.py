@@ -1,16 +1,19 @@
-"""A state, a budget, an ``Operator``, an ``XStateCoeffs`` or a sample count
-of the wrong kind is refused where it enters, by a ValueError naming the
-parameter and what it got, not by an AttributeError from deeper down or an
-empty result."""
+"""A state, a budget, an ``Operator``, an ``XStateCoeffs``, an amplitude or
+a count of the wrong kind is refused where it enters, by a ValueError naming
+the parameter and what it got, not by an AttributeError, TypeError or
+OverflowError from deeper down or an empty result."""
 
 import numpy as np
 import pytest
 
 from spin_transfer import (
     STATE_A,
+    QutritPairState,
+    SearchBudget,
     XStateCoeffs,
     closed_form_rho12_qutrit,
     evolve_reduced,
+    extract_lower_boundary,
     invariants,
     maximize_E12_half_period,
     negativity,
@@ -55,6 +58,22 @@ CASES = {
     "qutrit_closed_form_discrepancy-zero": (
         lambda: qutrit_closed_form_discrepancy(0),
         "n_samples must be at least 1, got 0",
+    ),
+    "QutritPairState-None": (
+        lambda: QutritPairState(None, 0, 0),
+        "amplitude k0 = None is not a non-negative real number",
+    ),
+    "QutritPairState-beyond-float": (
+        lambda: QutritPairState(10**400, 0, 0),
+        f"amplitude k0 = {10**400} is not a non-negative real number",
+    ),
+    "extract_lower_boundary-text": (
+        lambda: extract_lower_boundary("x"),
+        "grid_points must be an integer, got 'x'",
+    ),
+    "SearchBudget-shrink-text": (
+        lambda: SearchBudget(shrink="0.3"),
+        "shrink must be a real number, got '0.3'",
     ),
 }
 

@@ -9,15 +9,21 @@
   figures, the staircases, the searches and ``verify``);
 - fig2: 100 tables, ``--theta1`` and ``--theta2`` in [-3, 3], ``--t-start``
   and ``--t-stop`` in [-50, 50], 2 to 399 points;
-- fig3: 8 region fills, ``--samples`` 100 to 450 and ``--seed`` 0 to 7, at
-  the budget 7:2:3, the odd seeds to JSON;
+- fig3: 8 region fills, ``--samples`` 100 to 450, ``--seed`` 0 to 7 and
+  the budgets 4:2:3 to 11:2:3, the odd seeds to JSON;
 - fig4: ``--theta-points`` 3, 5, 7 and 9, each with a 6-step staircase in
-  both modes, at the budget 7:2:3, 5 and 9 points to JSON;
+  both modes from a seeded source and ``--e0``, at the budgets 4:2:3 to
+  11:2:3, 5 and 9 points to JSON;
 - iterate: 300 sources, amplitudes the square roots of a Dirichlet draw,
   each with a uniform ``--e0`` and 12 steps, in both modes;
 - maximize: 60 angles in [-3, 3], each at the budgets 60:3:5, 30:2:5,
   24:2:5 and 7:4:3;
-- verify: ``--seed`` 0 to 3.
+- verify: ``--seed`` 2 to 5, the seeds the reference runs leave out.
+
+Outside the reference family every file is a distinct check: no two runs
+write the same bytes.  In the reference family, the default staircase is
+both ``06-iterate`` and the ``_foldline`` file of ``04-fig4`` and
+``05-fig4``.
 
 The seeded runs are named by their zero-padded index (``000``, ...).  Every
 seeded value is written from a Python float (``repr`` of a numpy float is
@@ -123,27 +129,36 @@ def fig2_runs() -> list[list[str]]:
 
 def fig3_runs() -> list[list[str]]:
     return [
-        ["fig3", "--samples", str(100 + 50 * i), "--seed", str(i), "--budget", "7:2:3"]
+        ["fig3", "--samples", str(100 + 50 * i), "--seed", str(i), "--budget", f"{4 + i}:2:3"]
         + (["--out", "fig3.json"] if i % 2 else [])
         for i in range(8)
     ]
 
 
+def _source(rng: np.random.Generator) -> str:
+    """A ``--sp`` value: the square roots of a Dirichlet draw."""
+    return ",".join(_value(k) for k in np.sqrt(rng.dirichlet((1.0, 1.0, 1.0))))
+
+
 def fig4_runs() -> list[list[str]]:
-    return [
-        ["fig4", "--theta-points", str(points), "--budget", "7:2:3", "--steps", "6"]
-        + ["--mode", mode]
-        + (["--out", "fig4.json"] if points in (5, 9) else [])
-        for points in (3, 5, 7, 9)
-        for mode in MODES
-    ]
+    rng = np.random.default_rng(3)
+    runs = []
+    for points in (3, 5, 7, 9):
+        for mode in MODES:
+            budget = f"{4 + len(runs)}:2:3"
+            runs.append(
+                ["fig4", "--theta-points", str(points), "--budget", budget, "--steps", "6"]
+                + ["--mode", mode, "--sp", _source(rng), "--e0", _value(rng.uniform(0.0, 1.0))]
+                + (["--out", "fig4.json"] if points in (5, 9) else [])
+            )
+    return runs
 
 
 def iterate_runs() -> list[list[str]]:
     rng = np.random.default_rng(1)
     runs = []
     for _ in range(300):
-        source = ",".join(_value(k) for k in np.sqrt(rng.dirichlet((1.0, 1.0, 1.0))))
+        source = _source(rng)
         e0 = _value(rng.uniform(0.0, 1.0))
         for mode in MODES:
             runs.append(["iterate", "--sp", source, "--e0", e0, "--steps", "12", "--mode", mode])
@@ -160,7 +175,7 @@ def maximize_runs() -> list[list[str]]:
 
 
 def verify_runs() -> list[list[str]]:
-    return [["verify", "--seed", str(seed)] for seed in range(4)]
+    return [["verify", "--seed", str(seed)] for seed in range(2, 6)]
 
 
 def _indexed(runs: list[list[str]]) -> list[tuple[str, list[str]]]:
