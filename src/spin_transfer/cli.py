@@ -8,8 +8,9 @@ else the same-named key of the ``--config`` JSON file, else the default.
 Every command also takes --out, --seed and --config.  The --out suffix
 selects CSV or JSON (maximize and verify write JSON only).  Identical
 configuration and seed produce byte-identical files.  fig2 evolves one
-state per time point, then checks and scores the whole stack at once: one
-X-pattern check, one ``negativities`` call and one clamp per run.
+state per time point into one stack, then checks and scores the whole
+stack at once: one X-pattern check, one ``negativities`` call and one clamp
+per run.  The stack is gone before the table is written.
 
 Exit codes: 0 success, 2 configuration error (unknown flag or config key;
 malformed, non-finite or out-of-range value; wrong --out suffix), 3
@@ -174,16 +175,24 @@ def _load_config_file(path: str | None) -> dict:
 
 def cmd_fig2(cfg: argparse.Namespace) -> int:
     """Qubit-source negativity sweep over time."""
+    write_table(cfg.out, ["t", "E12", "A", "B", "C", "D", "ReF", "ImF"], _fig2_rows(cfg))
+    return EXIT_OK
+
+
+def _fig2_rows(cfg: argparse.Namespace) -> list[list[float]]:
+    """The rows of the fig2 table, from one stack of evolved states filled
+    in place; the stack is gone before the table is written."""
     tp = QubitPairState(cfg.theta1)
     sp = QubitPairState(cfg.theta2)
     times = np.linspace(cfg.t_start, cfg.t_stop, cfg.t_points)
-    states = np.stack([evolve_reduced(tp, sp, t).matrix for t in times])
+    states = np.empty((len(times), 4, 4), dtype=complex)
+    for i, t in enumerate(times):
+        states[i] = evolve_reduced(tp, sp, t).matrix
     _check_x_form(states)  # every row is an X state: its coefficients are the table
     e12 = clamp_negativity(negativities(states))
     f = states[:, 0, 3]
     table = np.column_stack([times, e12, states.diagonal(axis1=1, axis2=2).real, f.real, f.imag])
-    write_table(cfg.out, ["t", "E12", "A", "B", "C", "D", "ReF", "ImF"], table.tolist())
-    return EXIT_OK
+    return table.tolist()
 
 
 def cmd_fig3(cfg: argparse.Namespace) -> int:

@@ -93,6 +93,11 @@ def clamp_negativity(raw) -> np.ndarray:
     return np.where(raw < 0.0, 0.0, np.minimum(raw, 1.0))
 
 
+#: States per block of the temporaries of ``negativities``: a few hundred kB
+#: whatever the length of the stack.
+_BLOCK = 1024
+
+
 def negativities(states: np.ndarray) -> np.ndarray:
     """Raw negativity of each two-qubit state of a stack (N, 4, 4): minus
     twice the sum of the negative eigenvalues of its partial transpose on
@@ -101,25 +106,54 @@ def negativities(states: np.ndarray) -> np.ndarray:
     Every state must be a density operator: Hermitian within
     ``DEFAULT_ALGEBRAIC_TOL``, of unit trace within ``POSITIVITY_TOL`` and
     with no eigenvalue below ``-POSITIVITY_TOL`` (a NaN fails every check).
-    The checks run in that order, and the ValueError names the first state
-    that fails the first failing check.  One ``eigvalsh`` call takes the
-    spectra of the states and of their partial transposes.
+    The checks run in that order over the whole stack, and the ValueError
+    names the first state that fails the first failing check.  The stack is
+    checked and scored one block of at most ``_BLOCK`` states at a time, so
+    no temporary spans a longer stack.
     """
+    blocks = _blocks(states)
+    for first, block in blocks:
+        _check_hermitian(block, first)
+    _check_unit_trace(states)
+    raw = np.empty(len(states))
+    for first, block in blocks:
+        raw[first : first + len(block)] = _block_negativities(block, first)
+    return raw
+
+
+def _blocks(states: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The blocks of at most ``_BLOCK`` states of a stack, each with the
+    index of its state 0 in the stack."""
+    return [(i, states[i : i + _BLOCK]) for i in range(0, len(states), _BLOCK)]
+
+
+def _check_hermitian(states: np.ndarray, first: int) -> None:
+    """The Hermiticity check of ``negativities`` on a block whose state 0 is
+    state ``first`` of the stack."""
     asymmetry = abs(states - states.conj().swapaxes(1, 2))
-    trace = abs(states.trace(axis1=1, axis2=2) - 1.0)
-    if not (
-        asymmetry.max(initial=0.0) <= DEFAULT_ALGEBRAIC_TOL
-        and trace.max(initial=0.0) <= POSITIVITY_TOL
-    ):
+    if not asymmetry.max(initial=0.0) <= DEFAULT_ALGEBRAIC_TOL:
         hermiticity = asymmetry.max(axis=(1, 2))
-        _reject("Hermiticity defect", hermiticity, hermiticity <= DEFAULT_ALGEBRAIC_TOL)
+        _reject("Hermiticity defect", hermiticity, hermiticity <= DEFAULT_ALGEBRAIC_TOL, first)
+
+
+def _check_unit_trace(states: np.ndarray) -> None:
+    """The trace check of ``negativities`` and ``_xstate_negativities``."""
+    trace = abs(states.trace(axis1=1, axis2=2) - 1.0)
+    if not trace.max(initial=0.0) <= POSITIVITY_TOL:
         _reject("trace defect", trace, trace <= POSITIVITY_TOL)
+
+
+def _block_negativities(states: np.ndarray, first: int) -> np.ndarray:
+    """The eigenvalue check and the scores of ``negativities`` on a block of
+    Hermitian, unit-trace states whose state 0 is state ``first`` of the
+    stack: one ``eigvalsh`` call takes the spectra of the states and of
+    their partial transposes."""
     n = len(states)
     transposed = states.reshape(n, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(n, 4, 4)
     spectra = np.linalg.eigvalsh(np.concatenate([states, transposed]))
     least = spectra[:n, 0]
     if not least.min(initial=0.0) >= -POSITIVITY_TOL:
-        _reject("eigenvalue", least, least >= -POSITIVITY_TOL)
+        _reject("eigenvalue", least, least >= -POSITIVITY_TOL, first)
     return -2.0 * np.minimum(spectra[n:], 0.0).sum(axis=1)
 
 
@@ -138,8 +172,7 @@ def _xstate_negativities(states: np.ndarray) -> np.ndarray:
       exact spectrum of an X state, not below ``-POSITIVITY_TOL``.
     """
     _check_x_form(states)
-    trace = abs(states.trace(axis1=1, axis2=2) - 1.0)
-    _reject("trace defect", trace, trace <= POSITIVITY_TOL)
+    _check_unit_trace(states)
     a, b, c, d = states.diagonal(axis1=1, axis2=2).real.T
     f = states[:, 0, 3]
     f_abs = np.hypot(f.real, f.imag)  # the bits of the scalar abs(complex)
@@ -151,17 +184,22 @@ def _xstate_negativities(states: np.ndarray) -> np.ndarray:
 def _check_x_form(states: np.ndarray) -> None:
     """The Hermiticity and X-pattern check of ``_xstate_negativities``, which
     ``XStateCoeffs.from_operator`` runs alone on one state and
-    ``cli.cmd_fig2`` on its whole table."""
-    defect = abs(states - np.where(X_PATTERN, states.conj().swapaxes(1, 2), 0.0))
-    defect = defect.max(axis=(1, 2))
-    _reject("Hermiticity or X-pattern defect", defect, defect <= DEFAULT_ALGEBRAIC_TOL)
+    ``cli.cmd_fig2`` on its whole table, one block of ``_BLOCK`` states at a
+    time."""
+    for first, block in _blocks(states):
+        defect = abs(block - np.where(X_PATTERN, block.conj().swapaxes(1, 2), 0.0))
+        defect = defect.max(axis=(1, 2))
+        _reject("Hermiticity or X-pattern defect", defect, defect <= DEFAULT_ALGEBRAIC_TOL, first)
 
 
-def _reject(name: str, values: np.ndarray, ok: np.ndarray) -> None:
-    """Raise ValueError naming the first state where ``ok`` is False."""
+def _reject(name: str, values: np.ndarray, ok: np.ndarray, first: int = 0) -> None:
+    """Raise ValueError naming the first state where ``ok`` is False, counted
+    from ``first``, the index of state 0 of ``values`` in its stack."""
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValueError(f"input is not a density operator: state {i}: {name} {values[i]:.3e}")
+        raise ValueError(
+            f"input is not a density operator: state {first + i}: {name} {values[i]:.3e}"
+        )
 
 
 def _two_qubit_matrix(rho: Operator) -> np.ndarray:

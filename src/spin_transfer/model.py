@@ -8,9 +8,12 @@ keeps the read-only result.  Two propagator routes, both ``Operator``s,
 exist: ``pair_propagator`` evaluates the spectral exponential from it, bit
 for bit ``qla.propagator`` (authoritative), and ``closed_form_propagator``
 is written out entrywise (regression check).  ``full_evolution`` is the
-array of ``pair_propagator``'s exponential, never made an ``Operator``, on
-legs (0,2) and (1,3) of the (target, target, source, source) product space;
-the spin matrices and the pair Hamiltonian are arrays too.  The two
+read-only array of ``pair_propagator``'s exponential, never made an
+``Operator``, on legs (0,2) and (1,3) of the (target, target, source,
+source) product space; it keeps the last array it built per source
+dimension and returns it when the same time comes again, as it does every
+round of a staircase and every loop of ``verify`` at one time.  The spin
+matrices and the pair Hamiltonian are arrays too.  The two
 spectral projectors, grouped from the same eigenvectors and checked when
 they are built, give ``transfer.entanglement_curve`` the propagator at every
 time of a grid.
@@ -19,6 +22,7 @@ time of a grid.
 from __future__ import annotations
 
 import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,22 +164,39 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
 
 
 def _pair_exponential(model: TransferModel, t: float) -> np.ndarray:
-    """The array of ``pair_propagator``."""
-    return spectral_exponential(*model.pair_eigh, _real_angle("t", t))
+    """The array of ``pair_propagator`` at a time ``_real_angle`` has taken."""
+    return spectral_exponential(*model.pair_eigh, t)
 
 
 def pair_propagator(model: TransferModel, t: float) -> Operator:
     """Eigendecomposition propagator for the coupled pair, from the model's
-    cached ``pair_eigh``.  ``t`` follows the rule of ``qla._real_angle``, so
-    ``full_evolution`` and ``transfer.evolve_reduced`` refuse a non-finite
-    or non-real time."""
-    return Operator(_pair_exponential(model, t))
+    cached ``pair_eigh``.  ``t`` follows the rule of ``qla._real_angle``, as
+    in ``full_evolution`` (hence ``transfer.evolve_reduced``): a non-finite
+    or non-real time is refused."""
+    return Operator(_pair_exponential(model, _real_angle("t", t)))
+
+
+#: The last ``full_evolution`` per source dimension: (model, bits of t, array).
+_LAST_EVOLUTION: dict[int, tuple[TransferModel, bytes, np.ndarray]] = {}
 
 
 def full_evolution(model: TransferModel, t: float) -> np.ndarray:
-    """Four-particle evolution: the 4d^2 x 4d^2 pair propagator on legs
-    (0,2) and (1,3) of the (2, 2, source, source) product space."""
+    """Four-particle evolution: the read-only 4d^2 x 4d^2 pair propagator on
+    legs (0,2) and (1,3) of the (2, 2, source, source) product space.
+
+    ``t`` follows the rule of ``qla._real_angle``, checked first.  The last
+    array built for each source dimension is kept, in one tuple with the
+    model and the exact bits of ``t`` (so -0.0 and 0.0 differ); a call that
+    repeats both returns that same array, the one a fresh build would make,
+    and any other call builds afresh and replaces it."""
+    t = _real_angle("t", t)
+    bits = struct.pack("d", t)
+    last = _LAST_EVOLUTION.get(model.source_dim)
+    if last is not None and last[0] is model and last[1] == bits:
+        return last[2]
     d = model.source_dim
     u = _pair_exponential(model, t).reshape(2, d, 2, d)
-    full = np.einsum("asAS,brBR->absrABSR", u, u)
-    return full.reshape(4 * d * d, 4 * d * d)
+    full = np.einsum("asAS,brBR->absrABSR", u, u).reshape(4 * d * d, 4 * d * d)
+    full.setflags(write=False)
+    _LAST_EVOLUTION[d] = (model, bits, full)
+    return full

@@ -8,10 +8,13 @@ mixed-continuation mode the actual 4x4 target density operator is carried
 forward and re-coupled to a fresh source copy.  Since the propagator and the
 pure source are the same every round, that round is one fixed channel on the
 target state (``transfer.source_channel``), built once per run and applied
-as a 16x16 matrix-vector product per step.  No state of that chain depends
-on a score, so the run scores the initial state and every carried state in
-one ``entanglement.negativities`` call after the chain.  A pure-reset round
-starts from the previous round's score and is scored as it runs.
+as a 16x16 matrix-vector product per step.  The chain is one
+(steps + 1, 4, 4) array, and no state of it depends on a score, so the run
+scores that array in one ``entanglement.negativities`` call after the chain
+and wraps only the snapshots its records keep.  A pure-reset round starts
+from the previous round's score and is scored as it runs; every round
+evolves for the same half period, so after the first ``evolve_reduced``
+call ``model.full_evolution`` returns the propagator it kept.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _MODE_ALIASES = {
 def canonical_mode(mode: str) -> str:
     try:
         return _MODE_ALIASES[mode]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a list or another unhashable value
         raise ValueError(
             f"unknown mode {mode!r}; expected {MODE_PURE_RESET!r} or {MODE_MIXED!r}"
         ) from None
@@ -89,8 +92,8 @@ def iterate_transfer(
     built: unless its rows (x, x) sum to vec(I) within ``POSITIVITY_TOL``
     (it preserves the trace), ValueError is raised before any step.  The
     ``steps + 1`` states (the initial Schmidt density, then the state after
-    each step) are scored as one stack after the whole chain has run, so a
-    carried state that is not a density
+    each step) fill one array that is scored after the whole chain has run,
+    so a carried state that is not a density
     operator raises the ValueError of ``negativities``, which names a state
     by its position in the stack: state 0 is the initial state and state i
     the state after step i.  As there, the state named is the first one that
@@ -112,7 +115,7 @@ def iterate_transfer(
             rho = evolve_reduced(QubitPairState(snapshots[-1]), sp, QUTRIT_HALF_PERIOD)
             scores.append(negativity(rho).value)
     else:
-        snapshots = [QubitPairState(theta0).density()]
+        initial = QubitPairState(theta0).density()
         channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
         # trace preservation: vec(I) S = vec(I), the rows (x, x) of S sum to vec(I)
         vec_identity = np.eye(4).ravel()
@@ -122,11 +125,12 @@ def iterate_transfer(
                 f"source channel does not preserve the trace: defect {defect:.3e}"
                 f" exceeds tol {POSITIVITY_TOL:.1e}"
             )
-        for _ in range(steps):
-            rho = (channel @ snapshots[-1].matrix.ravel()).reshape(4, 4)
-            snapshots.append(Operator(rho))
-        stack = np.stack([s.matrix for s in snapshots])
-        scores = clamp_negativity(negativities(stack)).tolist()
+        chain = np.empty((steps + 1, 4, 4), dtype=complex)
+        chain[0] = initial.matrix
+        for i in range(steps):
+            chain[i + 1] = (channel @ chain[i].ravel()).reshape(4, 4)
+        snapshots = [initial] + [Operator(rho) for rho in chain[1:steps]]
+        scores = clamp_negativity(negativities(chain)).tolist()
     return [
         IterationRecord(step, scores[step - 1], scores[step], mode, snapshots[step - 1])
         for step in range(1, steps + 1)

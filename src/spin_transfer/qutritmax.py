@@ -41,6 +41,16 @@ INVARIANT_TOL = 1e-9
 FIG3_THETA_GRID = tuple(k * np.pi / 32 for k in (0, 1, 2, 3, 4, 5, 6, 7, 8))
 
 
+def _in_range(name: str, value: float, low: float, high: float) -> bool:
+    """Whether low <= ``value`` <= high (a NaN is not); a value that cannot
+    be compared with a number (None, a string, a complex) raises ValueError
+    naming ``name``."""
+    try:
+        return bool(low <= value <= high)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class InvariantPoint:
     """Invariants (I1, I2) of a two-qutrit Schmidt state and the shear-
@@ -50,9 +60,9 @@ class InvariantPoint:
     i2: float
 
     def __post_init__(self) -> None:
-        if not I1_MIN - INVARIANT_TOL <= self.i1 <= 1.0 + INVARIANT_TOL:
+        if not _in_range("i1", self.i1, I1_MIN - INVARIANT_TOL, 1.0 + INVARIANT_TOL):
             raise ValueError(f"I1 = {self.i1!r} outside [1/3, 1]")
-        if not self.i1**2 - INVARIANT_TOL <= self.i2 <= self.i1 + INVARIANT_TOL:
+        if not _in_range("i2", self.i2, self.i1**2 - INVARIANT_TOL, self.i1 + INVARIANT_TOL):
             raise ValueError(f"I2 = {self.i2!r} outside the attainable band for I1 = {self.i1!r}")
 
     @property
@@ -164,11 +174,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         for name in ("coarse", "refinements"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
-        try:
-            shrink_ok = 1.0 < self.shrink < np.inf
-        except (TypeError, ValueError):  # not comparable with a number: a string, None
-            raise ValueError(f"shrink must be a real number, got {self.shrink!r}") from None
-        if self.coarse < 2 or self.refinements < 0 or not shrink_ok:
+        shrink_ok = _in_range("shrink", self.shrink, 1.0, np.inf)
+        if self.coarse < 2 or self.refinements < 0 or not shrink_ok or self.shrink in (1.0, np.inf):
             raise ValueError(f"invalid search budget {self}")
 
 
@@ -284,7 +291,7 @@ def emax_is_nondecreasing(results: list[MaximizationResult]) -> bool:
 def frontier_line(i1p: float) -> float:
     """Approximate straight-line lower frontier between the states A and B:
     I2' = -(2/3) I1' - 1/6, valid for I1' in [1/3, 1/2]."""
-    if not I1_MIN - INVARIANT_TOL <= i1p <= 0.5 + INVARIANT_TOL:
+    if not _in_range("i1p", i1p, I1_MIN - INVARIANT_TOL, 0.5 + INVARIANT_TOL):
         raise ValueError(f"I1' = {i1p!r} outside the frontier domain [1/3, 1/2]")
     return -2.0 / 3.0 * i1p - 1.0 / 6.0
 

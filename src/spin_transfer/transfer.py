@@ -9,7 +9,9 @@ matrix of the map it makes on the target state; the mixed-continuation
 staircase builds it once per run.  The numeric pipeline (``evolve_reduced``)
 is authoritative: it is the route of ``fig2`` (one call per time point),
 ``verify`` and the pure-reset staircase, and the oracle of
-``entanglement_curve``.
+``entanglement_curve``.  A call at the time of the call before it (every
+pure-reset round, ``verify``'s fixed-time loops) reuses the four-particle
+propagator that ``model.full_evolution`` kept.
 The curve takes the spectral route instead: each pair propagator is
 exp(-i lambda_minus t) P_minus + exp(-i lambda_plus t) P_plus, so the reduced
 state is a five-term Fourier sum of fixed 4x4 matrices and a whole time grid
@@ -27,6 +29,7 @@ pipeline, while a, d and f match it to rounding;
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -222,7 +225,9 @@ def source_channel(u: np.ndarray, sp: SourceState) -> np.ndarray:
 
 def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
     """Reduced target-pair state after evolving for time ``t``: evolve the
-    full product state unitarily, then trace out the source pair."""
+    full product state unitarily, then trace out the source pair.  The
+    propagator is ``model.full_evolution``'s, kept from the last call at the
+    same time and source dimension."""
     tp = _typed("tp", tp, QubitPairState)
     rho = evolve_and_reduce(full_evolution(model_for_source(sp), t), initial_full_state(tp, sp))
     return Operator(rho)
@@ -385,13 +390,17 @@ def entanglement_curve(
     ``negativities`` within 6.7e-16 on the 601-point default grids (13
     target angles in [-3, 3], six sources).
 
-    Raises ValueError, before any evolution, naming the first time that
+    Raises ValueError, before any evolution, naming ``t_grid`` if it does
+    not hold numbers (None, a string), then the first time that
     ``qla._real_angle`` refuses (a non-zero imaginary part, NaN or +-inf),
     then the first finite time whose phase m * Delta * t overflows.
     """
     times = np.asarray(t_grid)
     flat = times.ravel()
-    bad = np.flatnonzero((flat.imag != 0.0) | ~np.isfinite(flat.real))
+    try:
+        bad = np.flatnonzero((flat.imag != 0.0) | ~np.isfinite(flat.real))
+    except TypeError:  # not numbers: None, a string, an object array
+        raise ValueError(f"t_grid must hold real numbers, got {reprlib.repr(t_grid)}") from None
     if bad.size:  # the rule of _real_angle refuses this time
         _real_angle(f"time at index {bad[0]}", flat[bad[0]].item())
     times = np.asarray(times.real, dtype=float)

@@ -20,7 +20,7 @@ from spin_transfer.cli import (
     parse_source_state,
     write_csv,
 )
-from spin_transfer.entanglement import XStateCoeffs, negativity
+from spin_transfer.entanglement import _BLOCK, XStateCoeffs, negativity
 from spin_transfer.qutritmax import SearchBudget
 from spin_transfer.transfer import STATE_A, STATE_B, QubitPairState, evolve_reduced
 
@@ -125,6 +125,7 @@ class TestFig2:
         st.sampled_from([2, 3, 61, 399]),
     )
     @example(np.pi / 4, np.pi / 4, 0.0, 2 * np.pi, 61)  # E12 of 22 rows is -0.0
+    @example(0.3, 1.1, -40.0, 45.0, 2 * _BLOCK + 5)  # three blocks of the stacked score
     def test_stacked_table_is_the_per_row_table(self, theta1, theta2, t_start, t_stop, points):
         """The CSV and JSON files are those of the per-row route: one
         ``evolve_reduced``, ``from_operator`` and ``negativity`` per time."""
@@ -341,3 +342,30 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
     assert out.exists()
     assert "wrote" in result.stdout
+
+
+#: Runs each (command, out) pair of its arguments through ``main``, in order.
+RUN_IN_ONE_PROCESS = """
+import sys
+from spin_transfer.cli import main
+for command, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert main([command, "--out", out]) == 0
+"""
+
+
+def test_files_do_not_depend_on_what_ran_before_in_the_process(tmp_path):
+    # full_evolution keeps its last array across commands: iterate and verify
+    # write the same bytes after each other, in either order, as alone
+    outs = {"iterate": "i.csv", "verify": "v.json"}
+
+    def run(folder: str, *commands: str) -> dict[str, bytes]:
+        (tmp_path / folder).mkdir()
+        paths = {c: tmp_path / folder / outs[c] for c in commands}
+        argv = [str(a) for c in commands for a in (c, paths[c])]
+        subprocess.run([sys.executable, "-c", RUN_IN_ONE_PROCESS, *argv], check=True,
+                       capture_output=True)
+        return {c: p.read_bytes() for c, p in paths.items()}
+
+    alone = {**run("iterate", "iterate"), **run("verify", "verify")}
+    assert run("iterate-verify", "iterate", "verify") == alone
+    assert run("verify-iterate", "verify", "iterate") == alone

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spin_transfer.entanglement import (
+    _BLOCK,
     NegativityValue,
     XStateCoeffs,
     _check_x_form,
@@ -75,6 +76,35 @@ def density_stack(rng, n: int) -> np.ndarray:
     return np.array([random_density(rng, (2, 2)).matrix for _ in range(n)])
 
 
+#: A stack of three blocks of ``negativities``, the last one short.
+LONG = 2 * _BLOCK + 5
+
+
+def hermiticity_defect(m: np.ndarray) -> np.ndarray:
+    return m + 1e-8 * np.triu(np.ones_like(m), 1)
+
+
+def trace_defect(m: np.ndarray) -> np.ndarray:
+    return 1.01 * m
+
+
+def eigenvalue_defect(m: np.ndarray) -> np.ndarray:
+    return np.diag([1.5, -0.5, 0.0, 0.0])
+
+
+def nan_diagonal(m: np.ndarray) -> np.ndarray:
+    return np.where(np.eye(4) == 1, np.nan, m)
+
+
+def long_density_stack(rng, n: int = LONG) -> np.ndarray:
+    """Mixed states of every rank: G G^dagger / Tr, G complex Gaussian with
+    one to four columns."""
+    g = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    g *= (np.arange(4) < rng.integers(1, 5, n)[:, None])[:, None, :]
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
 class TestNegativityStack:
     def test_one_state_case_is_bit_identical(self, rng):
         states = density_stack(rng, 100)
@@ -103,16 +133,52 @@ class TestNegativityStack:
     @pytest.mark.parametrize(
         "index,defect,message",
         [
-            (2, lambda m: m + 1e-8 * np.triu(np.ones_like(m), 1), "state 2: Hermiticity defect"),
-            (1, lambda m: 1.01 * m, "state 1: trace defect 1.000e-02"),
-            (3, lambda m: np.diag([1.5, -0.5, 0.0, 0.0]), "state 3: eigenvalue -5.000e-01"),
-            (0, lambda m: np.where(np.eye(4) == 1, np.nan, m), "state 0: Hermiticity defect nan"),
+            (2, hermiticity_defect, "state 2: Hermiticity defect"),
+            (1, trace_defect, "state 1: trace defect 1.000e-02"),
+            (3, eigenvalue_defect, "state 3: eigenvalue -5.000e-01"),
+            (0, nan_diagonal, "state 0: Hermiticity defect nan"),
         ],
     )
     def test_each_density_check_names_the_first_bad_state(self, index, defect, message, rng):
         states = density_stack(rng, 5)
         states[index] = defect(states[index])
         states[4] = defect(states[4])  # a later state with the same defect is not named
+        with pytest.raises(ValueError, match=f"not a density operator: {message}"):
+            negativities(states)
+
+    def test_a_long_stack_scores_each_state_as_alone(self, rng):
+        states = long_density_stack(rng)
+        alone = [negativities(m[None])[0] for m in states]
+        assert negativities(states).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize(
+        "defects,message",
+        [
+            (
+                {1: eigenvalue_defect, 2: trace_defect, LONG - 1: hermiticity_defect},
+                f"state {LONG - 1}: Hermiticity",
+            ),
+            (
+                {_BLOCK: nan_diagonal, LONG - 1: hermiticity_defect},
+                f"state {_BLOCK}: Hermiticity defect nan",
+            ),
+            (
+                {1: eigenvalue_defect, _BLOCK + 3: trace_defect, LONG - 1: trace_defect},
+                f"state {_BLOCK + 3}: trace",
+            ),
+            (
+                {2 * _BLOCK: eigenvalue_defect, LONG - 1: eigenvalue_defect},
+                f"state {2 * _BLOCK}: eigenvalue",
+            ),
+        ],
+        ids=["hermiticity", "nan", "trace", "eigenvalue"],
+    )
+    def test_a_long_stack_checks_in_order_over_every_block(self, defects, message, rng):
+        # a check of the whole stack runs before the next check of any block,
+        # and the state is named by its index in the stack
+        states = long_density_stack(rng)
+        for index, defect in defects.items():
+            states[index] = defect(states[index])
         with pytest.raises(ValueError, match=f"not a density operator: {message}"):
             negativities(states)
 
@@ -211,6 +277,16 @@ class TestXStateStack:
         states[4] = defect(states[4])  # a later state with the same defect is not named
         with pytest.raises(ValueError, match=f"not a density operator: state {index}: {message}"):
             _xstate_negativities(states)
+
+    def test_a_long_stack_names_a_late_state_by_its_index(self, rng):
+        states = xstate_stack(rng, LONG)
+        states[0] *= 1.01
+        states[_BLOCK + 7] += 1e-6 * OFF_PATTERN
+        states[LONG - 1] += 1e-6 * OFF_PATTERN
+        message = f"not a density operator: state {_BLOCK + 7}: {X_DEFECT} 1.000e-06"
+        for check in (_check_x_form, _xstate_negativities):
+            with pytest.raises(ValueError, match=message):
+                check(states)
 
     def test_checks_run_in_the_generic_order(self, rng):
         # the X-pattern defect of state 3 is found before the trace defect of

@@ -8,18 +8,25 @@ import pytest
 
 from spin_transfer import (
     STATE_A,
+    InvariantPoint,
+    QubitPairState,
     QutritPairState,
     SearchBudget,
     XStateCoeffs,
     closed_form_rho12_qutrit,
+    entanglement_curve,
     evolve_reduced,
     extract_lower_boundary,
+    frontier_line,
     invariants,
+    iterate_transfer,
     maximize_E12_half_period,
     negativity,
     negativity_xstate,
     qutrit_closed_form_discrepancy,
 )
+
+TP = QubitPairState(0.3)
 
 CASES = {
     "evolve_reduced-tp": (
@@ -74,6 +81,28 @@ CASES = {
     "SearchBudget-shrink-text": (
         lambda: SearchBudget(shrink="0.3"),
         "shrink must be a real number, got '0.3'",
+    ),
+    "frontier_line-None": (lambda: frontier_line(None), "i1p must be a real number, got None"),
+    "frontier_line-text": (lambda: frontier_line("x"), "i1p must be a real number, got 'x'"),
+    "InvariantPoint-i1": (
+        lambda: InvariantPoint(None, 0.5),
+        "i1 must be a real number, got None",
+    ),
+    "InvariantPoint-i2": (
+        lambda: InvariantPoint(0.5, None),
+        "i2 must be a real number, got None",
+    ),
+    "entanglement_curve-None": (
+        lambda: entanglement_curve(TP, STATE_A, None),
+        "t_grid must hold real numbers, got None",
+    ),
+    "entanglement_curve-text": (
+        lambda: entanglement_curve(TP, STATE_A, ["x"]),
+        "t_grid must hold real numbers, got ['x']",
+    ),
+    "iterate_transfer-list-mode": (
+        lambda: iterate_transfer(0.5, STATE_A, 2, ["mixed"]),
+        "unknown mode ['mixed']; expected 'pure-reset' or 'mixed-continuation'",
     ),
 }
 

@@ -1,3 +1,5 @@
+import dataclasses
+import struct
 from functools import reduce
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spin_transfer import model as model_module
 from spin_transfer.entanglement import negativity
 from spin_transfer.model import (
     TransferModel,
@@ -307,3 +310,50 @@ class TestFullEvolution:
                 reduced = trace_out_sources(evo @ rho0 @ evo.conj().T)
                 values.append(negativity(Operator(reduced)).value)
             assert values[0] == pytest.approx(values[1], abs=1e-10)
+
+
+def fresh_evolution(source_dim: int, t: float) -> bytes:
+    """The bytes of ``full_evolution`` built with no array kept."""
+    model_module._LAST_EVOLUTION.clear()
+    return full_evolution(TransferModel.for_source_dim(source_dim), t).tobytes()
+
+
+class TestLastEvolution:
+    """``full_evolution`` keeps the last array it built per source dimension."""
+
+    def test_a_repeated_time_returns_the_same_read_only_array(self):
+        model = TransferModel.for_source_dim(3)
+        first = full_evolution(model, 1.25)
+        assert full_evolution(model, 1.25) is first
+        assert full_evolution(model, np.float64(1.25)) is first  # the same bits
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+
+    def test_interleaved_dimensions_and_signed_zeros_give_fresh_bytes(self):
+        calls = [
+            (2, 1.0), (3, 1.0), (2, 1.0), (3, 2.5), (3, 1.0), (2, 2.5),
+            (2, 0.0), (2, -0.0), (2, 0.0), (3, -0.0), (3, 0.0), (3, 2.5),
+        ]  # fmt: skip
+        fresh = {(d, struct.pack("d", t)): fresh_evolution(d, t) for d, t in calls}
+        model_module._LAST_EVOLUTION.clear()
+        for d, t in calls:
+            got = full_evolution(TransferModel.for_source_dim(d), t)
+            assert got.tobytes() == fresh[d, struct.pack("d", t)], (d, t)
+        model = TransferModel.for_source_dim(2)
+        assert full_evolution(model, -0.0) is not full_evolution(model, 0.0)
+
+    def test_another_model_of_the_same_dimension_is_built_afresh(self):
+        model = TransferModel.for_source_dim(3)
+        kept = full_evolution(model, 0.75)
+        other = dataclasses.replace(model)
+        built = full_evolution(other, 0.75)
+        assert built is not kept and built.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("bad", ["1.25", None, np.nan, -np.inf, 1.25 + 1j])
+    def test_a_bad_time_after_a_hit_keeps_its_message(self, bad):
+        model = TransferModel.for_source_dim(3)
+        assert full_evolution(model, 1.25) is full_evolution(model, 1.25)
+        with pytest.raises(ValueError) as caught:
+            full_evolution(model, bad)
+        assert str(caught.value) == f"t must be finite and real, got {bad!r}"
