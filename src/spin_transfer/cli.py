@@ -145,7 +145,12 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 
 
 def write_json(path: Path, payload: Any) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """The document streamed to ``path`` piece by piece, never whole in
+    memory: the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``
+    and a newline."""
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {path}")
 
 

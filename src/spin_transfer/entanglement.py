@@ -52,16 +52,41 @@ class NegativityValue:
         return cls(float(clamp_negativity(raw)), raw)
 
 
+def _check_coefficient(name: str, value, real: bool) -> None:
+    """Refuse an X-state coefficient that is not a number: a string, a
+    value ``complex()`` refuses (None, a list, an object, 10**400) and, if
+    ``real``, a non-zero imaginary part raise ValueError naming ``name``.
+    A NaN passes here; the X-state checks refuse it when it is scored."""
+    if not isinstance(value, str):
+        try:
+            z = complex(value)
+        except (TypeError, ValueError, OverflowError):
+            pass  # refused below, with the other cases
+        else:
+            if not real or z.imag == 0:
+                return
+    kind = "a real" if real else "a complex"
+    raise ValueError(f"{name} must be {kind} number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class XStateCoeffs:
     """The five independent entries of a two-qubit X state: diagonal
-    (a, b, c, d) and the outer anti-diagonal coherence f."""
+    (a, b, c, d) and the outer anti-diagonal coherence f.  Each field is
+    stored as given, after ``_check_coefficient``: a diagonal entry must be
+    a real number (a complex one with zero imaginary part is taken), and f
+    any number."""
 
     a: float
     b: float
     c: float
     d: float
     f: complex
+
+    def __post_init__(self) -> None:
+        for name in "abcd":
+            _check_coefficient(name, getattr(self, name), real=True)
+        _check_coefficient("f", self.f, real=False)
 
     def to_operator(self) -> Operator:
         m = np.zeros((4, 4), dtype=complex)

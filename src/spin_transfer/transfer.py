@@ -15,7 +15,12 @@ propagator that ``model.full_evolution`` kept.
 The curve takes the spectral route instead: each pair propagator is
 exp(-i lambda_minus t) P_minus + exp(-i lambda_plus t) P_plus, so the reduced
 state is a five-term Fourier sum of fixed 4x4 matrices and a whole time grid
-is one matrix product.  Each leg conserves its own S_z, so every state on the
+is one matrix product.  Both initial pairs are Schmidt-diagonal, so the five
+matrices are one quadratic form in the real amplitudes
+x = kron((cos theta, sin theta), k): ``_fourier_tensor`` holds it, the
+target|source cut of the curve, built once per source dimension from the
+projectors, and a curve reads its components off it with one product.
+Each leg conserves its own S_z, so every state on the
 curve is an X state, scored by the X-state closed form under the density
 checks of ``negativities``; the generic partial-transpose route scores
 ``fig2`` and the mixed staircase as one stack (``negativities``) and the
@@ -29,6 +34,7 @@ pipeline, while a, d and f match it to rounding;
 
 from __future__ import annotations
 
+import functools
 import reprlib
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -161,7 +167,7 @@ class TransferTrace:
         values = np.array(self.negativities, dtype=float)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and negativities must be 1-d arrays of equal length")
-        if times.size >= 2 and not np.all(np.diff(times) > 0):
+        if not (times[1:] > times[:-1]).all():  # NaN fails too
             raise ValueError("times must be strictly increasing")
         times.setflags(write=False)
         values.setflags(write=False)
@@ -337,39 +343,56 @@ def qutrit_closed_form_discrepancy(
 _FOURIER_ORDERS = np.arange(-2, 3)
 
 
-def _spectral_components(tp: QubitPairState, sp: SourceState) -> np.ndarray:
-    """The five 4x4 Fourier components R_m, m = -2..2 (stacked in that
-    order), of the reduced target state rho(t) = sum_m exp(-i m Delta t) R_m.
+@functools.cache
+def _fourier_tensor(d: int) -> np.ndarray:
+    """Read-only (4d^2, 5 * 16) tensor T of the source-traced Fourier sum:
+    R_m = sum_pq x_p x_q T[(p, q), m], m = -2..2 in that order, each R_m a
+    row-major 4x4 block, for the real amplitudes
+    x = kron((cos theta, sin theta), k) of a target cos theta|00> +
+    sin theta|11> and a source sum_i k_i|ii>.  Built once per source
+    dimension, from the model's ``pair_projectors``.
 
     The propagator on legs (0,2) and (1,3) is u x u with
     u = exp(-i lambda_minus t) (P_minus + exp(-i Delta t) P_plus), so the
-    evolved four-particle state is psi(t) = sum_j exp(-i j Delta t) chi_j
-    (up to a global phase), where chi_0, chi_1 and chi_2 are
-    (P_minus x P_minus), (P_minus x P_plus + P_plus x P_minus) and
-    (P_plus x P_plus) applied to the initial product state.  Written on the
-    two legs, (P_x x P_y) psi0 is the 2d x 2d sandwich P_x W P_y^T with
-    W = kron(psi0, source0), rows (a, i) and columns (b, j).  Tracing out the
-    sources, R_m = sum_{j - k = m} Tr_S chi_j chi_k^dagger, so
-    R_{-m} = R_m^dagger."""
-    model = model_for_source(sp)
-    d = model.source_dim
-    p = model.pair_projectors
-    psi0 = tp.state_vector().reshape(2, 2)
-    source0 = sp.state_vector().reshape(d, d)
-    w = (psi0[:, None, :, None] * source0[None, :, None, :]).reshape(2 * d, 2 * d)
-    legs = (p @ w)[:, None] @ p.swapaxes(1, 2)[None]  # (x, y, (a, i), (b, j))
-    chi = np.stack([legs[0, 0], legs[0, 1] + legs[1, 0], legs[1, 1]])
-    chi = chi.reshape(3, 2, d, 2, d).transpose(0, 1, 3, 2, 4).reshape(3, 4, d * d)
-    gram = chi[:, None] @ chi.conj().swapaxes(1, 2)[None]  # (j, k): chi_j chi_k^dagger
-    return np.stack(
+    evolved state is psi(t) = sum_j exp(-i j Delta t) chi_j (up to a global
+    phase), where chi_0, chi_1 and chi_2 are (P_minus x P_minus),
+    (P_minus x P_plus + P_plus x P_minus) and (P_plus x P_plus) applied to
+    the initial state.  On the two legs, (P_x x P_y) applies to the initial
+    matrix W, rows (a, i) and columns (b, j), as the sandwich P_x W P_y^T.
+    Both initial pairs are Schmidt-diagonal, so W = diag(x) and the sandwich
+    is sum_p x_p P_x[:, p] P_y[:, p]^T: each chi_j is linear in x, and each
+    R_m = sum_{j - k = m} Tr_S chi_j chi_k^dagger is a quadratic form in x,
+    whose coefficients T holds."""
+    p = TransferModel.for_source_dim(d).pair_projectors
+    n = 2 * d
+    legs = np.einsum("xap,ybp->pxyab", p, p)  # (p, x, y, (a, i), (b, j))
+    chi = np.stack([legs[:, 0, 0], legs[:, 0, 1] + legs[:, 1, 0], legs[:, 1, 1]], axis=1)
+    chi = chi.reshape(n, 3, 2, d, 2, d).transpose(0, 1, 2, 4, 3, 5).reshape(n, 3, 4, d * d)
+    gram = np.einsum("pjas,qkbs->pqjkab", chi, chi.conj())  # chi_j(e_p) chi_k(e_q)^dagger
+    tensor = np.stack(
         [
-            gram[0, 2],
-            gram[0, 1] + gram[1, 2],
-            gram[0, 0] + gram[1, 1] + gram[2, 2],
-            gram[1, 0] + gram[2, 1],
-            gram[2, 0],
-        ]
-    )
+            gram[:, :, 0, 2],
+            gram[:, :, 0, 1] + gram[:, :, 1, 2],
+            gram[:, :, 0, 0] + gram[:, :, 1, 1] + gram[:, :, 2, 2],
+            gram[:, :, 1, 0] + gram[:, :, 2, 1],
+            gram[:, :, 2, 0],
+        ],
+        axis=2,
+    ).reshape(n * n, 5 * 16)
+    tensor.setflags(write=False)
+    return tensor
+
+
+def _spectral_components(tp: QubitPairState, sp: SourceState) -> np.ndarray:
+    """The five 4x4 Fourier components R_m, m = -2..2 (stacked in that
+    order), of the reduced target state rho(t) = sum_m exp(-i m Delta t) R_m,
+    with R_{-m} = R_m^dagger: the quadratic form of ``_fourier_tensor`` at
+    the real amplitudes x = kron((cos theta, sin theta), k), one
+    (4d^2,) @ (4d^2, 80) product."""
+    d = source_dim(sp)
+    # the Schmidt diagonals (cos theta, sin theta) and k, read off |00>, |11>, ...
+    x = np.multiply.outer(tp.state_vector()[::3].real, sp.state_vector()[:: d + 1].real)
+    return (np.outer(x, x).ravel() @ _fourier_tensor(d)).reshape(5, 4, 4)
 
 
 def entanglement_curve(
@@ -379,12 +402,13 @@ def entanglement_curve(
 
     The reduced state is the Fourier sum rho(t) = sum_m exp(-i m Delta t) R_m,
     m = -2..2, where Delta = lambda_plus - lambda_minus is 1 for a qubit
-    source and 3/2 for a qutrit source.  The five 4x4 R_m are built once;
+    source and 3/2 for a qutrit source.  The five 4x4 R_m are read off the
+    cached ``_fourier_tensor`` of the source dimension with one product;
     then one (N, 5) @ (5, 16) product gives the (N, 4, 4) reduced states.
     Each leg conserves its own S_z, so every state is an X state, and
     ``entanglement._xstate_negativities`` checks it as a density operator and
     scores it in closed form.  Agrees with ``negativity(evolve_reduced(tp, sp,
-    t))``, the oracle, within 2.1e-13 for |t| <= 1e3 (measured on 2400
+    t))``, the oracle, within 2.7e-13 for |t| <= 1e3 (measured on 2400
     random points; both routes carry about |t| * eps of phase rounding), and
     with the former route through the stack of evolved pure states and
     ``negativities`` within 6.7e-16 on the 601-point default grids (13

@@ -3,6 +3,8 @@ a count of the wrong kind is refused where it enters, by a ValueError naming
 the parameter and what it got, not by an AttributeError, TypeError or
 OverflowError from deeper down or an empty result."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -106,9 +108,57 @@ CASES = {
     ),
 }
 
+#: Values refused in every field of ``XStateCoeffs``, by id; a diagonal
+#: field also refuses ``COMPLEX_JUNK``.
+COEFFICIENT_JUNK = {
+    "None": None,
+    "text": "x",
+    "numeric-text": "0.3",
+    "list": [0.1],
+    "object": object(),
+    "beyond-float": 10**400,
+    "vector": np.array([0.1, 0.2]),
+}
+COMPLEX_JUNK = {"complex": 1 + 2j, "np.complex128": np.complex128(0.5 + 0.5j)}
+
+
+def xstate_with(field, value):
+    fields = {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "f": 0.0}
+    fields[field] = value
+    return XStateCoeffs(**fields)
+
+
+CASES.update(
+    {
+        f"XStateCoeffs-{field}-{name}": (
+            functools.partial(xstate_with, field, value),
+            f"{field} must be {'a complex' if field == 'f' else 'a real'} number, got {value!r}",
+        )
+        for field in "abcdf"
+        for name, value in (COEFFICIENT_JUNK | ({} if field == "f" else COMPLEX_JUNK)).items()
+    }
+)
+
 
 @pytest.mark.parametrize("call, message", CASES.values(), ids=CASES)
 def test_refused_by_name(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.25, 1, True, np.float32(0.25), np.float64(0.25), 0.25 + 0j, np.complex128(0.25)],
+    ids=["float", "int", "bool", "float32", "float64", "complex-real", "np.complex128-real"],
+)
+def test_xstate_coefficients_are_stored_as_given(value):
+    coeffs = XStateCoeffs(value, value, value, value, value)
+    assert all(getattr(coeffs, field) is value for field in "abcdf")
+    assert XStateCoeffs(0.25, 0.25, 0.25, 0.25, 1 + 2j).f == 1 + 2j
+
+
+def test_nan_coefficient_is_refused_when_scored():
+    coeffs = XStateCoeffs(np.nan, 0.25, 0.25, 0.25, 0.0)
+    with pytest.raises(ValueError, match="not a density operator: state 0"):
+        negativity_xstate(coeffs)

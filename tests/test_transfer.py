@@ -25,6 +25,8 @@ from spin_transfer.transfer import (
     QubitPairState,
     QutritPairState,
     TransferTrace,
+    _fourier_tensor,
+    _spectral_components,
     closed_form_rho12_qubit,
     closed_form_rho12_qutrit,
     default_time_grid,
@@ -536,6 +538,21 @@ class TestEntanglementCurve:
         with pytest.raises(ValueError, match="equal length"):
             TransferTrace(np.array([0.0, 1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, 0.0], [1.0, 0.5], [0.0, 1.0, 1.0], [0.0, np.nan], [np.nan, 1.0]],
+        ids=["equal", "decreasing", "equal-last", "nan-last", "nan-first"],
+    )
+    def test_trace_refuses_times_not_strictly_increasing(self, times):
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            TransferTrace(times, np.zeros(len(times)))
+
+    # one time has no order to break, even a NaN
+    @pytest.mark.parametrize("times", [[], [0.0], [np.nan], [0.0, 1e-300, 1.0]])
+    def test_trace_accepts_strictly_increasing_times(self, times):
+        trace = TransferTrace(times, np.zeros(len(times)))
+        assert np.array_equal(trace.times, times, equal_nan=True)
+
     def test_curve_leaves_the_grid_writable(self):
         grid = np.linspace(0.0, 2.0, 5)
         trace = entanglement_curve(QubitPairState(0.3), STATE_A, grid)
@@ -578,6 +595,63 @@ def pure_state_curve(tp: QubitPairState, sp, times: np.ndarray) -> np.ndarray:
     psi = np.tensordot(np.exp(1j * phases), chi, axes=1)
     rho = np.einsum("nas,nbs->nab", psi, psi.conj())
     return clamp_negativity(negativities(rho))
+
+
+def spectral_components_oracle(tp: QubitPairState, sp) -> np.ndarray:
+    """The former build of ``transfer._spectral_components``, kept as its
+    oracle: the five 4x4 Fourier components R_m, m = -2..2, from the 2d x 2d
+    sandwiches P_x W P_y^T of the two-leg initial matrix
+    W = kron(psi0, source0), rows (a, i) and columns (b, j), and
+    R_m = sum_{j - k = m} Tr_S chi_j chi_k^dagger."""
+    model = model_for_source(sp)
+    d = model.source_dim
+    p = model.pair_projectors
+    psi0 = tp.state_vector().reshape(2, 2)
+    source0 = sp.state_vector().reshape(d, d)
+    w = (psi0[:, None, :, None] * source0[None, :, None, :]).reshape(2 * d, 2 * d)
+    legs = (p @ w)[:, None] @ p.swapaxes(1, 2)[None]  # (x, y, (a, i), (b, j))
+    chi = np.stack([legs[0, 0], legs[0, 1] + legs[1, 0], legs[1, 1]])
+    chi = chi.reshape(3, 2, d, 2, d).transpose(0, 1, 3, 2, 4).reshape(3, 4, d * d)
+    gram = chi[:, None] @ chi.conj().swapaxes(1, 2)[None]  # (j, k): chi_j chi_k^dagger
+    return np.stack(
+        [
+            gram[0, 2],
+            gram[0, 1] + gram[1, 2],
+            gram[0, 0] + gram[1, 1] + gram[2, 2],
+            gram[1, 0] + gram[2, 1],
+            gram[2, 0],
+        ]
+    )
+
+
+COMPONENT_SOURCES = st.one_of(
+    st.sampled_from([STATE_A, STATE_B, STATE_C]),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_qutrit_state(np.random.default_rng(seed))),
+    st.floats(-3.0, 3.0).map(QubitPairState),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.floats(-3.0, 3.0), COMPONENT_SOURCES)
+def test_fourier_tensor_components_match_the_oracle(theta1, sp):
+    tp = QubitPairState(theta1)
+    assert max_abs(_spectral_components(tp, sp), spectral_components_oracle(tp, sp)) <= 1e-15
+
+
+def test_fourier_tensor_is_read_only_and_built_once_per_source_dim():
+    _fourier_tensor.cache_clear()
+    grid = np.linspace(0.0, QUTRIT_SOURCE_PERIOD, 61)
+    for theta1 in (-0.4, 0.3, 1.2):
+        for sp in (STATE_A, STATE_B, QubitPairState(0.2), QubitPairState(np.pi / 4)):
+            entanglement_curve(QubitPairState(theta1), sp, grid)
+    info = _fourier_tensor.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for d in (2, 3):
+        tensor = _fourier_tensor(d)
+        assert tensor.shape == (4 * d * d, 5 * 16) and not tensor.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tensor[0, 0] = 1.0
+    assert _fourier_tensor.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(
