@@ -14,6 +14,9 @@ b = k^T B k, c = k^T C k and f = k^T F k with 3x3 matrices that depend on the
 target angle alone (B == C up to rounding).  They are built from columns of
 ``model.full_evolution`` and are the only half-period route: the search scores
 its grids with them, and ``negativity_at_half_period`` one ``QutritPairState``.
+Apart from that scoring, a search round costs one grid fill (cosines and sines
+of the two axes, written into one (3, N) array) and a few float operations on
+its window.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .transfer import (
 )
 
 I1_MIN = 1.0 / 3.0
+_HALF_PI = np.pi / 2
 INVARIANT_TOL = 1e-9
 
 #: Target angles marked in the region picture.
@@ -44,8 +48,11 @@ FIG3_THETA_GRID = tuple(k * np.pi / 32 for k in (0, 1, 2, 3, 4, 5, 6, 7, 8))
 def _in_range(name: str, value: float, low: float, high: float) -> bool:
     """Whether low <= ``value`` <= high (a NaN is not); a value that cannot
     be compared with a number (None, a string, a complex) raises ValueError
-    naming ``name``."""
+    naming ``name``.  A complex is refused before it is compared, since
+    numpy orders an ``np.complexfloating`` by its real part."""
     try:
+        if isinstance(value, (complex, np.complexfloating)):
+            raise TypeError
         return bool(low <= value <= high)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a real number, got {value!r}") from None
@@ -189,20 +196,17 @@ class MaximizationResult:
     refinement_depth: int
 
 
-def _amplitudes_from_angles(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Amplitude columns (cos a, sin a cos b, sin a sin b) of the broadcast
-    angles, stacked along a new first axis of length 3."""
-    sin_alpha = np.sin(alpha)
-    return np.stack(
-        np.broadcast_arrays(np.cos(alpha), sin_alpha * np.cos(beta), sin_alpha * np.sin(beta))
-    )
-
-
 def _grid_amplitudes(alpha_axis: np.ndarray, beta_axis: np.ndarray) -> np.ndarray:
-    """(3, len(alpha_axis) * len(beta_axis)) amplitude columns of the grid,
-    alpha slowest (``meshgrid`` with ``indexing="ij"``).  Cosines and sines
-    are taken on the two axes only."""
-    return _amplitudes_from_angles(alpha_axis[:, None], beta_axis[None, :]).reshape(3, -1)
+    """(3, len(alpha_axis) * len(beta_axis)) amplitude columns
+    (cos a, sin a cos b, sin a sin b) of the grid, alpha slowest (``meshgrid``
+    with ``indexing="ij"``).  Cosines and sines are taken on the two axes
+    only, and the three rows are written straight into one array."""
+    sin_alpha = np.sin(alpha_axis)[:, None]
+    amps = np.empty((3, alpha_axis.size, beta_axis.size))
+    amps[0] = np.cos(alpha_axis)[:, None]
+    np.multiply(sin_alpha, np.cos(beta_axis), out=amps[1])
+    np.multiply(sin_alpha, np.sin(beta_axis), out=amps[2])
+    return amps.reshape(3, -1)
 
 
 #: Angle coordinates of the distinguished states, evaluated as explicit
@@ -213,7 +217,8 @@ _SEED_ANGLES = (
     (float(np.pi / 4), 0.0),  # state B
     (0.0, 0.0),  # state C
 )
-_SEED_AMPLITUDES = _amplitudes_from_angles(*np.array(_SEED_ANGLES).T)
+#: Their amplitude columns: the diagonal of the 3x3 grid of their angles.
+_SEED_AMPLITUDES = _grid_amplitudes(*np.array(_SEED_ANGLES).T)[:, ::4]
 
 
 def maximize_E12_half_period(
@@ -234,17 +239,22 @@ def maximize_E12_half_period(
     Each round scores every grid point with the 3x3 quadratic forms of
     ``negativity_at_half_period`` (unchecked: the grid columns are
     non-negative and normalized by construction), and ``evaluations``
-    counts the grid points scored.
+    counts the grid points scored.  The window's two angle intervals and the
+    best angles are Python floats: each interval shrinks to width / shrink
+    around the best angle, clamped to [0, pi/2] (the best angle lies in it,
+    so only the bound on its own side can bind), the same double operations
+    as a clip of the 2-vectors.
     """
     budget = _typed("budget", budget, SearchBudget)
     forms = _half_period_forms(theta1)
-    lo = np.array([0.0, 0.0])
-    hi = np.array([np.pi / 2, np.pi / 2])
+    shrink = float(budget.shrink)
+    lo_a = lo_b = 0.0
+    hi_a = hi_b = _HALF_PI
     best_rank: tuple[float, ...] = (-np.inf,)
     evaluations = 0
     for round_index in range(budget.refinements + 1):
-        alpha_axis = np.linspace(lo[0], hi[0], budget.coarse)
-        beta_axis = np.linspace(lo[1], hi[1], budget.coarse)
+        alpha_axis = np.linspace(lo_a, hi_a, budget.coarse)
+        beta_axis = np.linspace(lo_b, hi_b, budget.coarse)
         amps = _grid_amplitudes(alpha_axis, beta_axis)
         if round_index == 0:
             amps = np.hstack([amps, _SEED_AMPLITUDES])
@@ -257,14 +267,14 @@ def maximize_E12_half_period(
             pick = top[ranks.index(rank)]
             best_rank, best_amps = rank, amps[:, pick].copy()
             row, col = divmod(pick, budget.coarse)
-            best_angles = np.array(
-                [alpha_axis[row], beta_axis[col]]
+            best_a, best_b = (
+                (float(alpha_axis[row]), float(beta_axis[col]))
                 if row < budget.coarse
                 else _SEED_ANGLES[pick - budget.coarse**2]
             )
-        window = (hi - lo) / budget.shrink
-        lo = np.clip(best_angles - window / 2, 0.0, np.pi / 2)
-        hi = np.clip(best_angles + window / 2, 0.0, np.pi / 2)
+        half_a, half_b = (hi_a - lo_a) / shrink / 2, (hi_b - lo_b) / shrink / 2
+        lo_a, hi_a = max(best_a - half_a, 0.0), min(best_a + half_a, _HALF_PI)
+        lo_b, hi_b = max(best_b - half_b, 0.0), min(best_b + half_b, _HALF_PI)
     state = QutritPairState(*best_amps)
     return MaximizationResult(
         theta1=float(np.real(theta1)),

@@ -157,13 +157,23 @@ SourceState = Union[QubitPairState, QutritPairState]
 @dataclass(frozen=True)
 class TransferTrace:
     """Time series of target-pair negativity for one scenario; it keeps its
-    own read-only float copies of both arrays."""
+    own read-only float copies of both arrays.  ``times`` must hold real
+    numbers (bool, integer or float dtype), else ValueError naming it: a
+    complex, a string or an object that is not a number is refused, not
+    converted."""
 
     times: np.ndarray
     negativities: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
+        try:
+            times = np.asarray(self.times)  # a ragged nesting raises ValueError
+            if times.dtype.kind not in "biuf":
+                raise TypeError
+        except (TypeError, ValueError):
+            got = reprlib.repr(self.times)
+            raise ValueError(f"times must hold real numbers, got {got}") from None
+        times = np.array(times, dtype=float)
         values = np.array(self.negativities, dtype=float)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and negativities must be 1-d arrays of equal length")
@@ -414,11 +424,13 @@ def entanglement_curve(
     ``negativities`` within 6.7e-16 on the 601-point default grids (13
     target angles in [-3, 3], six sources).
 
-    Raises ValueError, before any evolution, naming ``t_grid`` if it does
+    Raises ValueError, before any evolution, naming ``tp`` if it is not a
+    ``QubitPairState``, then naming ``t_grid`` if it does
     not hold numbers (None, a string), then the first time that
     ``qla._real_angle`` refuses (a non-zero imaginary part, NaN or +-inf),
     then the first finite time whose phase m * Delta * t overflows.
     """
+    tp = _typed("tp", tp, QubitPairState)
     times = np.asarray(t_grid)
     flat = times.ravel()
     try:

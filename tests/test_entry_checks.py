@@ -4,6 +4,7 @@ the parameter and what it got, not by an AttributeError, TypeError or
 OverflowError from deeper down or an empty result."""
 
 import functools
+import reprlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spin_transfer import (
     QubitPairState,
     QutritPairState,
     SearchBudget,
+    TransferTrace,
     XStateCoeffs,
     closed_form_rho12_qutrit,
     entanglement_curve,
@@ -120,6 +122,57 @@ COEFFICIENT_JUNK = {
     "vector": np.array([0.1, 0.2]),
 }
 COMPLEX_JUNK = {"complex": 1 + 2j, "np.complex128": np.complex128(0.5 + 0.5j)}
+
+
+#: A range-checked slot refuses a complex even when its real part is in
+#: range (numpy orders an ``np.complex128`` by its real part).
+CASES.update(
+    {
+        f"{slot}-{name}": (
+            functools.partial(call, value),
+            f"{field} must be a real number, got {value!r}",
+        )
+        for slot, field, call, real in (
+            ("frontier_line", "i1p", frontier_line, 0.4),
+            ("InvariantPoint-i1", "i1", lambda v: InvariantPoint(v, 0.3), 0.5),
+            ("InvariantPoint-i2", "i2", lambda v: InvariantPoint(0.5, v), 0.3),
+            ("SearchBudget-shrink", "shrink", lambda v: SearchBudget(shrink=v), 5.0),
+        )
+        for name, value in (
+            COMPLEX_JUNK
+            | {"complex-real": complex(real), "np.complex128-real": np.complex128(real)}
+        ).items()
+    }
+)
+#: Values refused as ``entanglement_curve``'s target state, by id.
+STATE_JUNK = COEFFICIENT_JUNK | COMPLEX_JUNK | {"angle": 0.3, "qutrit-state": STATE_A}
+CASES.update(
+    {
+        f"entanglement_curve-tp-{name}": (
+            functools.partial(entanglement_curve, value, STATE_A, [0.0, 1.0]),
+            f"tp must be of type QubitPairState, got {type(value).__name__}",
+        )
+        for name, value in STATE_JUNK.items()
+    }
+)
+CASES.update(
+    {
+        f"TransferTrace-times-{name}": (
+            functools.partial(TransferTrace, value, [0.0]),
+            f"times must hold real numbers, got {reprlib.repr(value)}",
+        )
+        for name, value in (
+            COMPLEX_JUNK
+            | {
+                "np.complex128-real": np.complex128(0.5),
+                "object": COEFFICIENT_JUNK["object"],
+                "beyond-float": 10**400,
+                "text": "x",
+                "list-of-complex": [0.0, 1 + 2j],
+            }
+        ).items()
+    }
+)
 
 
 def xstate_with(field, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from spin_transfer.entanglement import negativity
 from spin_transfer.qutritmax import (
     FIG3_THETA_GRID,
+    I1_MIN,
     InvariantPoint,
     SearchBudget,
     _form_negativity,
@@ -32,6 +34,9 @@ from spin_transfer.transfer import (
 )
 
 SMALL_BUDGET = SearchBudget(coarse=30, refinements=2, shrink=5.0)
+#: The invariant band's slack and the dip ``emax_is_nondecreasing`` allows, as
+#: stated: a literal, so that a test at either edge fails if either changes.
+EDGE_TOL = 1e-9
 
 
 @st.composite
@@ -86,6 +91,34 @@ class TestInvariants:
             InvariantPoint(0.2, 0.1)
         with pytest.raises(ValueError, match="I2"):
             InvariantPoint(0.5, 0.6)
+
+    @pytest.mark.parametrize(
+        "i1, i2, refused",
+        [
+            (I1_MIN - 2 * EDGE_TOL, I1_MIN**2, "I1"),
+            (1.0 + 2 * EDGE_TOL, 1.0, "I1"),
+            (0.5, 0.25 - 2 * EDGE_TOL, "I2"),
+            (0.5, 0.5 + 2 * EDGE_TOL, "I2"),
+        ],
+        ids=["i1-low", "i1-high", "i2-low", "i2-high"],
+    )
+    def test_refused_just_outside_the_band(self, i1, i2, refused):
+        with pytest.raises(ValueError, match=f"^{refused} = "):
+            InvariantPoint(i1, i2)
+
+    @pytest.mark.parametrize(
+        "i1, i2",
+        [
+            (I1_MIN - EDGE_TOL / 2, (I1_MIN - EDGE_TOL / 2) ** 2),
+            (1.0 + EDGE_TOL / 2, 1.0),
+            (0.5, 0.25 - EDGE_TOL / 2),
+            (0.5, 0.5 + EDGE_TOL / 2),
+        ],
+        ids=["i1-low", "i1-high", "i2-low", "i2-high"],
+    )
+    def test_accepted_just_inside_the_band(self, i1, i2):
+        point = InvariantPoint(i1, i2)
+        assert (point.i1, point.i2) == (i1, i2)
 
 
 class TestSampleRegion:
@@ -234,6 +267,12 @@ class TestMaximize:
             assert result.e_max >= e_a - 1e-12
         assert results[-1].e_max == pytest.approx(1.0, abs=1e-6)
         assert isinstance(emax_is_nondecreasing(results), bool)
+
+    @pytest.mark.parametrize("dip, monotone", [(2 * EDGE_TOL, False), (EDGE_TOL / 2, True)])
+    def test_nondecreasing_allows_a_dip_of_the_negativity_resolution(self, dip, monotone):
+        result = maximize_E12_half_period(0.3, SearchBudget(coarse=4, refinements=0))
+        results = [dataclasses.replace(result, e_max=e) for e in (0.5, 0.5 - dip, 0.6)]
+        assert emax_is_nondecreasing(results) is monotone
 
     def test_low_entanglement_target_reaches_state_a_level(self):
         theta1 = 0.5 * np.arcsin(0.2)
