@@ -3,12 +3,12 @@
 The generic route (eigenvalues of the partial transpose) is written once, for
 a stack of states: ``negativities`` scores every state of a
 mixed-continuation staircase, and every row of a ``fig2`` table, in one
-call, and ``negativity``, its one-state case, scores every pure-reset step.
-A state scores the same bits in a stack of any length as alone.  The X-state
-closed form serves the states that keep the X pattern, under one acceptance
-rule: the checks of ``_xstate_negativities``, the density checks of
-``negativities`` written for that pattern (its least eigenvalue is exact).
-It checks and scores a whole time grid of ``transfer.entanglement_curve``,
+call, and each pure-reset step as a one-state stack; ``negativity`` is its
+one-state case for an ``Operator``.  A state scores the same bits in a
+stack of any length as alone.  The X-state closed form serves the states
+that keep the X pattern, under one acceptance rule: the checks of
+``_xstate_negativities``, the density checks of ``negativities`` written
+for that pattern (its least eigenvalue is exact).  It checks and scores a whole time grid of ``transfer.entanglement_curve``,
 and ``negativity_xstate`` is its one-state case; its Hermiticity and
 X-pattern check, ``_check_x_form``, guards ``XStateCoeffs.from_operator``
 and the coefficient columns of a ``fig2`` table.  The same formula scores
@@ -109,8 +109,10 @@ def clamp_negativity(raw) -> np.ndarray:
     where a value outside that range by more than ``POSITIVITY_TOL``, or a
     NaN, raises ValueError naming the first one.  A -0.0 stays -0.0."""
     raw = np.asarray(raw, dtype=float)
-    inside = (raw >= -POSITIVITY_TOL) & (raw <= 1.0 + POSITIVITY_TOL)
-    if not inside.all():
+    low, high = -POSITIVITY_TOL, 1.0 + POSITIVITY_TOL
+    # a NaN fails the range test; the mask is built only to name a failure
+    if not (raw.min(initial=0.0) >= low and raw.max(initial=0.0) <= high):
+        inside = (raw >= low) & (raw <= high)
         value = float(raw.flat[np.argmin(inside)])
         raise ValueError(
             f"negativity {value!r} outside [0, 1.0] by more than tol {POSITIVITY_TOL:.1e}"
@@ -140,6 +142,8 @@ def negativities(states: np.ndarray) -> np.ndarray:
     for first, block in blocks:
         _check_hermitian(block, first)
     _check_unit_trace(states)
+    if len(blocks) == 1:
+        return _block_negativities(states, 0)
     raw = np.empty(len(states))
     for first, block in blocks:
         raw[first : first + len(block)] = _block_negativities(block, first)
@@ -261,7 +265,9 @@ def schmidt_angle_from_negativity(value: float) -> float:
     outside [0, 1], a NaN, a complex value (numpy would order it by its real
     part) or one that is not a number raises ValueError."""
     try:
-        inside = not np.iscomplexobj(value) and 0.0 <= value <= 1.0
+        # a float is real; np.iscomplexobj would cost a microsecond
+        real = isinstance(value, float) or not np.iscomplexobj(value)
+        inside = real and 0.0 <= value <= 1.0
     except TypeError:  # not comparable with a number: a string, None
         inside = False
     if not inside:

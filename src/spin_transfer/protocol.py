@@ -12,9 +12,13 @@ as a 16x16 matrix-vector product per step.  The chain is one
 (steps + 1, 4, 4) array, and no state of it depends on a score, so the run
 scores that array in one ``entanglement.negativities`` call after the chain
 and wraps only the snapshots its records keep.  A pure-reset round starts
-from the previous round's score and is scored as it runs; every round
-evolves for the same half period, so after the first ``evolve_reduced``
-call ``model.full_evolution`` returns the propagator it kept.
+from the previous round's score and is scored as it runs, through the
+layers themselves: ``transfer.initial_full_state`` and
+``transfer.evolve_and_reduce`` under one ``model.full_evolution`` call (every
+round evolves for the same half period, so after the first round it returns
+the propagator it kept), then the one-state stack is scored by the rule of
+the mixed chain, ``clamp_negativity(negativities(...))``.  No round builds an
+``Operator`` or a ``NegativityValue``.
 """
 
 from __future__ import annotations
@@ -24,19 +28,15 @@ from typing import Union
 
 import numpy as np
 
-from .entanglement import (
-    clamp_negativity,
-    negativities,
-    negativity,
-    schmidt_angle_from_negativity,
-)
+from .entanglement import clamp_negativity, negativities, schmidt_angle_from_negativity
 from .model import full_evolution
 from .qla import POSITIVITY_TOL, Operator, _count
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     QubitPairState,
     QutritPairState,
-    evolve_reduced,
+    evolve_and_reduce,
+    initial_full_state,
     model_for_source,
     source_channel,
 )
@@ -108,15 +108,19 @@ def iterate_transfer(
         raise ValueError(f"need at least one step, got {steps}")
     mode = canonical_mode(mode)
     theta0 = schmidt_angle_from_negativity(e0)
+    model = model_for_source(sp)
     if mode == MODE_PURE_RESET:
         scores, snapshots = [float(e0)], []
         for _ in range(steps):
             snapshots.append(schmidt_angle_from_negativity(scores[-1]) if snapshots else theta0)
-            rho = evolve_reduced(QubitPairState(snapshots[-1]), sp, QUTRIT_HALF_PERIOD)
-            scores.append(negativity(rho).value)
+            rho = evolve_and_reduce(
+                full_evolution(model, QUTRIT_HALF_PERIOD),
+                initial_full_state(QubitPairState(snapshots[-1]), sp),
+            )
+            scores.append(float(clamp_negativity(negativities(rho[None]))[0]))
     else:
         initial = QubitPairState(theta0).density()
-        channel = source_channel(full_evolution(model_for_source(sp), QUTRIT_HALF_PERIOD), sp)
+        channel = source_channel(full_evolution(model, QUTRIT_HALF_PERIOD), sp)
         # trace preservation: vec(I) S = vec(I), the rows (x, x) of S sum to vec(I)
         vec_identity = np.eye(4).ravel()
         defect = float(np.abs(vec_identity @ channel - vec_identity).max())

@@ -172,7 +172,9 @@ def _form_negativity(forms: tuple[np.ndarray, ...], amps: np.ndarray) -> np.ndar
 @dataclass(frozen=True)
 class SearchBudget:
     """Deterministic search effort: a coarse-by-coarse angle grid, then
-    ``refinements`` rounds of re-gridding a window shrunk by ``shrink``."""
+    ``refinements`` rounds of re-gridding a window shrunk by ``shrink``.
+    ``shrink`` is stored as a float; one that is not a real number or does
+    not fit a float (10**400) raises ValueError naming it."""
 
     coarse: int = 60
     refinements: int = 3
@@ -182,6 +184,10 @@ class SearchBudget:
         for name in ("coarse", "refinements"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         shrink_ok = _in_range("shrink", self.shrink, 1.0, np.inf)
+        try:
+            object.__setattr__(self, "shrink", float(self.shrink))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"shrink must be a real number, got {self.shrink!r}") from None
         if self.coarse < 2 or self.refinements < 0 or not shrink_ok or self.shrink in (1.0, np.inf):
             raise ValueError(f"invalid search budget {self}")
 
@@ -247,7 +253,6 @@ def maximize_E12_half_period(
     """
     budget = _typed("budget", budget, SearchBudget)
     forms = _half_period_forms(theta1)
-    shrink = float(budget.shrink)
     lo_a = lo_b = 0.0
     hi_a = hi_b = _HALF_PI
     best_rank: tuple[float, ...] = (-np.inf,)
@@ -272,7 +277,7 @@ def maximize_E12_half_period(
                 if row < budget.coarse
                 else _SEED_ANGLES[pick - budget.coarse**2]
             )
-        half_a, half_b = (hi_a - lo_a) / shrink / 2, (hi_b - lo_b) / shrink / 2
+        half_a, half_b = (hi_a - lo_a) / budget.shrink / 2, (hi_b - lo_b) / budget.shrink / 2
         lo_a, hi_a = max(best_a - half_a, 0.0), min(best_a + half_a, _HALF_PI)
         lo_b, hi_b = max(best_b - half_b, 0.0), min(best_b + half_b, _HALF_PI)
     state = QutritPairState(*best_amps)

@@ -7,11 +7,12 @@ array by the four-particle propagator and traces out the source pair.
 ``source_channel`` is the same cut for a pure source, written as the 16x16
 matrix of the map it makes on the target state; the mixed-continuation
 staircase builds it once per run.  The numeric pipeline (``evolve_reduced``)
-is authoritative: it is the route of ``fig2`` (one call per time point),
-``verify`` and the pure-reset staircase, and the oracle of
-``entanglement_curve``.  A call at the time of the call before it (every
-pure-reset round, ``verify``'s fixed-time loops) reuses the four-particle
-propagator that ``model.full_evolution`` kept.
+is authoritative: it is the route of ``fig2`` (one call per time point) and
+``verify``, and the oracle of ``entanglement_curve``; a pure-reset staircase
+round runs its two layers, ``initial_full_state`` and ``evolve_and_reduce``,
+itself.  A ``model.full_evolution`` call at the time of the call before it
+(every pure-reset round, ``verify``'s fixed-time loops) returns the
+four-particle propagator it kept.
 The curve takes the spectral route instead: each pair propagator is
 exp(-i lambda_minus t) P_minus + exp(-i lambda_plus t) P_plus, so the reduced
 state is a five-term Fourier sum of fixed 4x4 matrices and a whole time grid
@@ -23,8 +24,8 @@ projectors, and a curve reads its components off it with one product.
 Each leg conserves its own S_z, so every state on the
 curve is an X state, scored by the X-state closed form under the density
 checks of ``negativities``; the generic partial-transpose route scores
-``fig2`` and the mixed staircase as one stack (``negativities``) and the
-pure-reset staircase one state at a time (``negativity``).  The analytic
+``fig2`` and the mixed staircase as one stack (``negativities``) and each
+pure-reset round as a one-state stack.  The analytic
 coefficient functions are regression artifacts.
 For a qutrit source one transcribed analytic coefficient is wrong: between
 the revival times the inner diagonal entry b (= c) departs from the numeric
@@ -154,33 +155,38 @@ STATE_C = QutritPairState(1.0, 0.0, 0.0)
 SourceState = Union[QubitPairState, QutritPairState]
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """A read-only float copy of ``value``, which must hold real numbers
+    (bool, integer or float dtype), else ValueError naming ``name``: a
+    complex, a string or an object that is not a number (None, 10**400) is
+    refused, not converted."""
+    try:
+        array = np.asarray(value)  # a ragged nesting raises ValueError
+        if array.dtype.kind not in "biuf":
+            raise TypeError
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold real numbers, got {reprlib.repr(value)}") from None
+    array = np.array(array, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class TransferTrace:
     """Time series of target-pair negativity for one scenario; it keeps its
-    own read-only float copies of both arrays.  ``times`` must hold real
-    numbers (bool, integer or float dtype), else ValueError naming it: a
-    complex, a string or an object that is not a number is refused, not
-    converted."""
+    own read-only float copies of both arrays, each taken by the rule of
+    ``_real_array``, ``times`` first."""
 
     times: np.ndarray
     negativities: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            times = np.asarray(self.times)  # a ragged nesting raises ValueError
-            if times.dtype.kind not in "biuf":
-                raise TypeError
-        except (TypeError, ValueError):
-            got = reprlib.repr(self.times)
-            raise ValueError(f"times must hold real numbers, got {got}") from None
-        times = np.array(times, dtype=float)
-        values = np.array(self.negativities, dtype=float)
+        times = _real_array("times", self.times)
+        values = _real_array("negativities", self.negativities)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and negativities must be 1-d arrays of equal length")
         if not (times[1:] > times[:-1]).all():  # NaN fails too
             raise ValueError("times must be strictly increasing")
-        times.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "negativities", values)
 
@@ -199,7 +205,11 @@ def model_for_source(sp: SourceState) -> TransferModel:
 def initial_full_state(tp: QubitPairState, sp: SourceState) -> np.ndarray:
     """Rank-1 density matrix of the four-particle product state (4d^2 x 4d^2)."""
     vec = (tp.state_vector()[:, None] * sp.state_vector()[None, :]).ravel()
-    return np.outer(vec, vec.conj())
+    return vec[:, None] * vec.conj()
+
+
+#: The source dimension d of each 4d^2 x 4d^2 four-particle shape.
+_SOURCE_DIM_OF_SHAPE = {(4 * d * d,) * 2: d for d in SUPPORTED_SOURCE_DIMS}
 
 
 def evolve_and_reduce(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
@@ -207,7 +217,7 @@ def evolve_and_reduce(u: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     four-particle state ``rho0`` by the propagator ``u``, then trace out the
     source pair.  Raises ValueError naming both shapes unless ``rho0`` is
     4d^2 x 4d^2 with d in ``SUPPORTED_SOURCE_DIMS`` and ``u`` has its shape."""
-    d = next((d for d in SUPPORTED_SOURCE_DIMS if rho0.shape == (4 * d * d,) * 2), None)
+    d = _SOURCE_DIM_OF_SHAPE.get(rho0.shape)
     if d is None or u.shape != rho0.shape:
         raise ValueError(
             f"expected a 4d^2 x 4d^2 state with d in {SUPPORTED_SOURCE_DIMS} and a"

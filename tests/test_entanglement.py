@@ -15,7 +15,7 @@ from spin_transfer.entanglement import (
     schmidt_angle_from_negativity,
     xstate_negativity_raw,
 )
-from spin_transfer.qla import Operator
+from spin_transfer.qla import POSITIVITY_TOL, Operator
 from spin_transfer.transfer import QubitPairState, closed_form_rho12_qubit
 from spin_transfer.verify import random_xstate
 
@@ -145,6 +145,25 @@ class TestNegativityStack:
         states[4] = defect(states[4])  # a later state with the same defect is not named
         with pytest.raises(ValueError, match=f"not a density operator: {message}"):
             negativities(states)
+
+    @pytest.mark.parametrize(
+        "diagonal,message",
+        [
+            ([0.25, 0.25, 0.25, 0.25 + 2 * POSITIVITY_TOL], "trace defect 2.000e-09"),
+            ([0.25, 0.25, 0.25, 0.25 + POSITIVITY_TOL / 2], None),
+            ([0.5, 0.5 + 2 * POSITIVITY_TOL, 0.0, -2 * POSITIVITY_TOL], "eigenvalue -2.000e-09"),
+            ([0.5, 0.5 + POSITIVITY_TOL / 2, 0.0, -POSITIVITY_TOL / 2], None),
+        ],
+        ids=["trace-outside", "trace-inside", "eigenvalue-outside", "eigenvalue-inside"],
+    )
+    def test_trace_and_eigenvalue_bounds_sit_at_the_tolerance(self, diagonal, message):
+        # the partial transpose of a diagonal state is the state itself
+        states = np.diag(diagonal).astype(complex)[None]
+        if message is None:
+            assert negativities(states)[0] == -2.0 * min(min(diagonal), 0.0)
+        else:
+            with pytest.raises(ValueError, match=f"not a density operator: state 0: {message}$"):
+                negativities(states)
 
     def test_a_long_stack_scores_each_state_as_alone(self, rng):
         states = long_density_stack(rng)

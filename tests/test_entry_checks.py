@@ -86,6 +86,10 @@ CASES = {
         lambda: SearchBudget(shrink="0.3"),
         "shrink must be a real number, got '0.3'",
     ),
+    "SearchBudget-shrink-beyond-float": (
+        lambda: SearchBudget(shrink=10**400),
+        f"shrink must be a real number, got {10**400}",
+    ),
     "frontier_line-None": (lambda: frontier_line(None), "i1p must be a real number, got None"),
     "frontier_line-text": (lambda: frontier_line("x"), "i1p must be a real number, got 'x'"),
     "InvariantPoint-i1": (
@@ -155,12 +159,21 @@ CASES.update(
         for name, value in STATE_JUNK.items()
     }
 )
+
+
+def trace_with(field, value):
+    fields = {"times": [0.0], "negativities": [0.5]}
+    fields[field] = value
+    return TransferTrace(**fields)
+
+
 CASES.update(
     {
-        f"TransferTrace-times-{name}": (
-            functools.partial(TransferTrace, value, [0.0]),
-            f"times must hold real numbers, got {reprlib.repr(value)}",
+        f"TransferTrace-{field}-{name}": (
+            functools.partial(trace_with, field, value),
+            f"{field} must hold real numbers, got {reprlib.repr(value)}",
         )
+        for field in ("times", "negativities")
         for name, value in (
             COMPLEX_JUNK
             | {
@@ -169,6 +182,8 @@ CASES.update(
                 "beyond-float": 10**400,
                 "text": "x",
                 "list-of-complex": [0.0, 1 + 2j],
+                "list-of-numeric-text": ["0.5"],
+                "list-beyond-float": [10**400],
             }
         ).items()
     }
@@ -209,6 +224,12 @@ def test_xstate_coefficients_are_stored_as_given(value):
     coeffs = XStateCoeffs(value, value, value, value, value)
     assert all(getattr(coeffs, field) is value for field in "abcdf")
     assert XStateCoeffs(0.25, 0.25, 0.25, 0.25, 1 + 2j).f == 1 + 2j
+
+
+@pytest.mark.parametrize("shrink", [4, np.float32(2.5), np.int64(3)])
+def test_search_budget_stores_shrink_as_a_float(shrink):
+    budget = SearchBudget(shrink=shrink)
+    assert type(budget.shrink) is float and budget.shrink == shrink
 
 
 def test_nan_coefficient_is_refused_when_scored():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import spin_transfer.protocol as protocol
-import spin_transfer.transfer as transfer
 from spin_transfer.entanglement import negativity, schmidt_angle_from_negativity
 from spin_transfer.protocol import (
     MODE_MIXED,
@@ -82,6 +81,27 @@ class TestPureReset:
             # repr also tells float from np.float64 and 0.0 from -0.0
             assert repr(records) == repr(oracle)
 
+    def test_each_round_evolves_once_and_scores_a_one_state_stack(self, monkeypatch):
+        evolutions, scored = [], []
+        full_evolution, negativities = protocol.full_evolution, protocol.negativities
+
+        def evolution_spy(*args):
+            evolutions.append(args)
+            return full_evolution(*args)
+
+        def score_spy(states):
+            scored.append(states)
+            return negativities(states)
+
+        monkeypatch.setattr(protocol, "full_evolution", evolution_spy)
+        monkeypatch.setattr(protocol, "negativities", score_spy)
+        records = iterate_transfer(0.3, STATE_B, 4)
+        assert len(evolutions) == 4
+        assert [states.shape for states in scored] == [(1, 4, 4)] * 4
+        assert [r.negativity_after for r in records] == [
+            negativity(Operator(states[0])).value for states in scored
+        ]
+
     def test_records_are_chained(self):
         records = iterate_transfer(0.1, STATE_A, 3)
         for first, second in zip(records, records[1:]):
@@ -118,7 +138,6 @@ class TestMixedContinuation:
             return original(states)
 
         monkeypatch.setattr(protocol, "negativities", spy)
-        monkeypatch.setattr(protocol, "negativity", lambda rho: scored.append([rho]))
         records = iterate_transfer(0.3, STATE_B, 4, MODE_MIXED)
         # one stacked call: the initial state, then one per step
         assert [len(states) for states in scored] == [5]
@@ -156,9 +175,7 @@ class TestValidation:
             calls.append(t)
             return original(model, t)
 
-        # pure reset evolves through transfer.evolve_reduced, mixed mode here
         monkeypatch.setattr(protocol, "full_evolution", counted)
-        monkeypatch.setattr(transfer, "full_evolution", counted)
         message = rf"^negativity {re.escape(repr(e0))} outside \[0, 1\]$"
         with pytest.raises(ValueError, match=message):
             iterate_transfer(e0, STATE_A, 2, mode)
@@ -176,7 +193,6 @@ class TestValidation:
     def test_step_count_is_an_integer(self, mode, monkeypatch):
         calls = []
         monkeypatch.setattr(protocol, "full_evolution", lambda *args: calls.append(args))
-        monkeypatch.setattr(transfer, "full_evolution", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
             iterate_transfer(0.2, STATE_A, 2.5, mode)
         assert calls == []

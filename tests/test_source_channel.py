@@ -15,7 +15,7 @@ from spin_transfer.protocol import (
     iterate_transfer,
     snapshot_purity,
 )
-from spin_transfer.qla import Operator
+from spin_transfer.qla import POSITIVITY_TOL, Operator
 from spin_transfer.transfer import (
     QUTRIT_HALF_PERIOD,
     STATE_A,
@@ -190,7 +190,10 @@ class TestMixedStaircase:
                 iterate_transfer(0.3, STATE_B, steps, MODE_MIXED)
 
     @pytest.mark.parametrize(
-        ("scale", "steps"), [(1.01, 4), (1.01, 2000), (2.0, 2000), (np.nan, 4)]
+        ("scale", "steps"),
+        # at 1 + 2 tol the carried states' traces would fail negativities
+        # after the chain; the channel check refuses the run before it
+        [(1.01, 4), (1.01, 2000), (2.0, 2000), (np.nan, 4), (1 + 2 * POSITIVITY_TOL, 8)],
     )
     def test_a_channel_that_breaks_the_trace_is_refused_where_it_is_built(
         self, monkeypatch, scale, steps
@@ -199,6 +202,15 @@ class TestMixedStaircase:
         monkeypatch.setattr(protocol, "source_channel", lambda u, sp: scale * original(u, sp))
         with pytest.raises(ValueError, match="source channel does not preserve the trace"):
             iterate_transfer(0.3, STATE_B, steps, MODE_MIXED)
+
+    def test_a_channel_within_the_trace_tolerance_is_taken(self, monkeypatch):
+        original = protocol.source_channel
+        scale = 1 + POSITIVITY_TOL / 2
+        monkeypatch.setattr(protocol, "source_channel", lambda u, sp: scale * original(u, sp))
+        (scaled,) = iterate_transfer(0.3, STATE_B, 1, MODE_MIXED)
+        monkeypatch.undo()
+        (record,) = iterate_transfer(0.3, STATE_B, 1, MODE_MIXED)
+        assert scaled.negativity_after == pytest.approx(record.negativity_after, abs=1e-8)
 
     def test_one_full_evolution_per_run(self, monkeypatch):
         calls = []
