@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator, _typed
+from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator, _real, _typed
 
 X_PATTERN = np.array(
     [
@@ -261,15 +261,10 @@ def xstate_negativity_raw(b, c, f_abs):
 
 def schmidt_angle_from_negativity(value: float) -> float:
     """Angle theta in [0, pi/4] whose Schmidt state cos(theta)|00> +
-    sin(theta)|11> has the requested negativity |sin 2 theta|.  A value
-    outside [0, 1], a NaN, a complex value (numpy would order it by its real
-    part) or one that is not a number raises ValueError."""
-    try:
-        # a float is real; np.iscomplexobj would cost a microsecond
-        real = isinstance(value, float) or not np.iscomplexobj(value)
-        inside = real and 0.0 <= value <= 1.0
-    except TypeError:  # not comparable with a number: a string, None
-        inside = False
-    if not inside:
+    sin(theta)|11> has the requested negativity |sin 2 theta|.  ``value``
+    follows the rule of ``qla._real``, and a value outside [0, 1] raises
+    ValueError too."""
+    real = _real("negativity", value)
+    if not 0.0 <= real <= 1.0:
         raise ValueError(f"negativity {value!r} outside [0, 1]")
-    return 0.5 * float(np.arcsin(float(value)))
+    return 0.5 * float(np.arcsin(real))

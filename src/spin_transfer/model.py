@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, _real_angle, hermitian_eigh, spectral_exponential
+from .qla import DEFAULT_ALGEBRAIC_TOL, Operator, _real, hermitian_eigh, spectral_exponential
 
 SUPPORTED_SOURCE_DIMS = (2, 3)
 
@@ -128,9 +128,9 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
     """Analytic pair propagator exp(-i H t) written out entrywise.
 
     Used as a regression check against the eigendecomposition route, which
-    is the authoritative one.  ``t`` follows the rule of ``qla._real_angle``.
+    is the authoritative one.  ``t`` follows the rule of ``qla._real``.
     """
-    t = _real_angle("t", t)
+    t = _real("t", t)
     if model.source_dim == 2:
         phase = np.exp(-1j * t / 4)
         e = np.exp(1j * t)
@@ -164,16 +164,16 @@ def closed_form_propagator(model: TransferModel, t: float) -> Operator:
 
 
 def _pair_exponential(model: TransferModel, t: float) -> np.ndarray:
-    """The array of ``pair_propagator`` at a time ``_real_angle`` has taken."""
+    """The array of ``pair_propagator`` at a time ``_real`` has taken."""
     return spectral_exponential(*model.pair_eigh, t)
 
 
 def pair_propagator(model: TransferModel, t: float) -> Operator:
     """Eigendecomposition propagator for the coupled pair, from the model's
-    cached ``pair_eigh``.  ``t`` follows the rule of ``qla._real_angle``, as
+    cached ``pair_eigh``.  ``t`` follows the rule of ``qla._real``, as
     in ``full_evolution`` (hence ``transfer.evolve_reduced``): a non-finite
     or non-real time is refused."""
-    return Operator(_pair_exponential(model, _real_angle("t", t)))
+    return Operator(_pair_exponential(model, _real("t", t)))
 
 
 #: The last ``full_evolution`` per source dimension: (model, bits of t, array).
@@ -184,12 +184,12 @@ def full_evolution(model: TransferModel, t: float) -> np.ndarray:
     """Four-particle evolution: the read-only 4d^2 x 4d^2 pair propagator on
     legs (0,2) and (1,3) of the (2, 2, source, source) product space.
 
-    ``t`` follows the rule of ``qla._real_angle``, checked first.  The last
+    ``t`` follows the rule of ``qla._real``, checked first.  The last
     array built for each source dimension is kept, in one tuple with the
     model and the exact bits of ``t`` (so -0.0 and 0.0 differ); a call that
     repeats both returns that same array, the one a fresh build would make,
     and any other call builds afresh and replaces it."""
-    t = _real_angle("t", t)
+    t = _real("t", t)
     bits = struct.pack("d", t)
     last = _LAST_EVOLUTION.get(model.source_dim)
     if last is not None and last[0] is model and last[1] == bits:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .entanglement import clamp_negativity, negativities, schmidt_angle_from_negativity
 from .model import full_evolution
-from .qla import POSITIVITY_TOL, Operator, _count
+from .qla import POSITIVITY_TOL, Operator, _count, _real
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     QubitPairState,
@@ -84,9 +84,9 @@ def iterate_transfer(
 
     Both modes collect the ``steps + 1`` scores and the snapshots entering
     each round, and one comprehension makes the records from them.  Both
-    take the Schmidt angle of ``e0`` first, so an ``e0`` outside [0, 1], a
-    NaN, a complex value or a value that is not a number (a string, None) raises the
-    ValueError of ``schmidt_angle_from_negativity`` before any evolution.
+    take the Schmidt angle of ``e0`` first, so an ``e0`` that the rule of
+    ``qla._real`` refuses, or one outside [0, 1], raises the ValueError of
+    ``schmidt_angle_from_negativity`` before any evolution.
 
     In mixed-continuation mode the source channel is checked where it is
     built: unless its rows (x, x) sum to vec(I) within ``POSITIVITY_TOL``
@@ -104,13 +104,12 @@ def iterate_transfer(
             f"iterate_transfer couples for the qutrit half period and needs a"
             f" QutritPairState source, got {type(sp).__name__}"
         )
-    if _count("steps", steps) < 1:
-        raise ValueError(f"need at least one step, got {steps}")
+    steps = _count("steps", steps, 1)
     mode = canonical_mode(mode)
     theta0 = schmidt_angle_from_negativity(e0)
     model = model_for_source(sp)
     if mode == MODE_PURE_RESET:
-        scores, snapshots = [float(e0)], []
+        scores, snapshots = [_real("negativity", e0)], []
         for _ in range(steps):
             snapshots.append(schmidt_angle_from_negativity(scores[-1]) if snapshots else theta0)
             rho = evolve_and_reduce(

@@ -28,11 +28,13 @@ DEFAULT_ALGEBRAIC_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
 
 
-def _real_angle(name: str, value: float) -> float:
-    """``value`` as a float, the one rule for a target angle or an
-    evolution time: a string, a value ``complex()`` refuses, a value with a
-    non-zero imaginary part and a non-finite value raise ValueError naming
-    ``name``; a complex number with zero imaginary part is its real part."""
+def _real(name: str, value: float) -> float:
+    """``value`` as a float, the one rule for a scalar real input (an angle,
+    a time, a negativity, an amplitude, an invariant, a shrink factor): a
+    string, a value ``complex()`` refuses, a value with a non-zero imaginary
+    part and a non-finite value raise ValueError naming ``name``; a complex
+    number with zero imaginary part is its real part.  A range is checked by
+    the caller on the float returned."""
     if not isinstance(value, str):
         try:
             z = complex(value)
@@ -44,13 +46,17 @@ def _real_angle(name: str, value: float) -> float:
     raise ValueError(f"{name} must be finite and real, got {value!r}")
 
 
-def _count(name: str, value: int) -> int:
+def _count(name: str, value: int, least: int) -> int:
     """``value`` as an int, the one rule for a count: ``operator.index``,
-    so a numpy integer is taken and 2.5 raises ValueError naming it."""
+    so a numpy integer is taken and 2.5 raises ValueError naming it, and so
+    does a count below ``least``."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return count
 
 
 def _typed(name: str, value, cls: type):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .entanglement import xstate_negativity_raw
 from .model import TransferModel, full_evolution
-from .qla import POSITIVITY_TOL, _count, _real_angle, _typed
+from .qla import POSITIVITY_TOL, _count, _real, _typed
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     STATE_A,
@@ -45,32 +45,24 @@ INVARIANT_TOL = 1e-9
 FIG3_THETA_GRID = tuple(k * np.pi / 32 for k in (0, 1, 2, 3, 4, 5, 6, 7, 8))
 
 
-def _in_range(name: str, value: float, low: float, high: float) -> bool:
-    """Whether low <= ``value`` <= high (a NaN is not); a value that cannot
-    be compared with a number (None, a string, a complex) raises ValueError
-    naming ``name``.  A complex is refused before it is compared, since
-    numpy orders an ``np.complexfloating`` by its real part."""
-    try:
-        if isinstance(value, (complex, np.complexfloating)):
-            raise TypeError
-        return bool(low <= value <= high)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class InvariantPoint:
     """Invariants (I1, I2) of a two-qutrit Schmidt state and the shear-
-    transformed pair (I1', I2') = (I1, I2 - 3/2 I1) used for plotting."""
+    transformed pair (I1', I2') = (I1, I2 - 3/2 I1) used for plotting.
+    Both follow the rule of ``qla._real`` and are stored as the floats it
+    returns; then I1 must lie in [1/3, 1] and I2 in [I1^2, I1]."""
 
     i1: float
     i2: float
 
     def __post_init__(self) -> None:
-        if not _in_range("i1", self.i1, I1_MIN - INVARIANT_TOL, 1.0 + INVARIANT_TOL):
-            raise ValueError(f"I1 = {self.i1!r} outside [1/3, 1]")
-        if not _in_range("i2", self.i2, self.i1**2 - INVARIANT_TOL, self.i1 + INVARIANT_TOL):
-            raise ValueError(f"I2 = {self.i2!r} outside the attainable band for I1 = {self.i1!r}")
+        i1, i2 = _real("i1", self.i1), _real("i2", self.i2)
+        object.__setattr__(self, "i1", i1)
+        object.__setattr__(self, "i2", i2)
+        if not I1_MIN - INVARIANT_TOL <= i1 <= 1.0 + INVARIANT_TOL:
+            raise ValueError(f"I1 = {i1!r} outside [1/3, 1]")
+        if not i1**2 - INVARIANT_TOL <= i2 <= i1 + INVARIANT_TOL:
+            raise ValueError(f"I2 = {i2!r} outside the attainable band for I1 = {i1!r}")
 
     @property
     def i1p(self) -> float:
@@ -99,11 +91,10 @@ def sample_physical_region(
 
     The first samples are the distinguished states A, B, C; the remainder is
     a seeded uniform (Dirichlet) fill of the simplex interior.  ``seed``
-    and ``n`` must be integers.
+    (at least 0) and ``n`` (at least 1) follow the rule of ``qla._count``.
     """
-    rng = np.random.default_rng(_count("seed", seed))
-    if _count("n", n) < 1:
-        raise ValueError("need at least one sample")
+    rng = np.random.default_rng(_count("seed", seed, 0))
+    n = _count("n", n, 1)
     states = [STATE_A, STATE_B, STATE_C][:n]
     while len(states) < n:
         amps = np.sqrt(rng.dirichlet((1.0, 1.0, 1.0)))
@@ -116,13 +107,13 @@ def negativity_at_half_period(theta1: float, amplitudes: np.ndarray) -> np.float
     the raw X-state negativity of one Schmidt amplitude column, scored with
     the 3x3 forms of ``_half_period_forms``.
 
-    Raises ValueError for any shape but (3,), then for a ``theta1`` that the
-    forms refuse, then for a column that ``QutritPairState`` refuses.
+    Raises ValueError for any shape but (3,), then for a ``theta1`` that
+    ``qla._real`` refuses, then for a column that ``QutritPairState`` refuses.
     """
     amps = np.asarray(amplitudes)
     if amps.shape != (3,):
         raise ValueError(f"amplitudes must have shape (3,), got {amps.shape}")
-    forms = _half_period_forms(theta1)
+    forms = _half_period_forms(_real("theta1", theta1))
     state = QutritPairState(*amps.tolist())
     return _form_negativity(forms, state.amplitudes()[:, None])[0]
 
@@ -144,11 +135,7 @@ def _half_period_forms(theta1: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """The 3x3 forms (B, C, F) of the half-period X-state coefficients: B and
     C real symmetric, F complex symmetric.  Column i of ``m`` is the state the
     pair propagator on both legs makes from the target state and source |ii>.
-
-    The one check of the target angle on the half-period route: ``theta1``
-    must be finite and real (a complex number with zero imaginary part is
-    taken as its real part), else ValueError."""
-    theta1 = _real_angle("theta1", theta1)
+    ``theta1`` is a float its caller took by the rule of ``qla._real``."""
     columns = _half_period_columns()
     m = np.cos(theta1) * columns[0] + np.sin(theta1) * columns[1]
     blocks = m.reshape(4, 9, 3)
@@ -173,22 +160,19 @@ def _form_negativity(forms: tuple[np.ndarray, ...], amps: np.ndarray) -> np.ndar
 class SearchBudget:
     """Deterministic search effort: a coarse-by-coarse angle grid, then
     ``refinements`` rounds of re-gridding a window shrunk by ``shrink``.
-    ``shrink`` is stored as a float; one that is not a real number or does
-    not fit a float (10**400) raises ValueError naming it."""
+    ``coarse`` (at least 2) and ``refinements`` (at least 0) follow the
+    rule of ``qla._count``; ``shrink`` follows that of ``qla._real`` and is
+    stored as the float it returns, which must exceed 1."""
 
     coarse: int = 60
     refinements: int = 3
     shrink: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("coarse", "refinements"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        shrink_ok = _in_range("shrink", self.shrink, 1.0, np.inf)
-        try:
-            object.__setattr__(self, "shrink", float(self.shrink))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"shrink must be a real number, got {self.shrink!r}") from None
-        if self.coarse < 2 or self.refinements < 0 or not shrink_ok or self.shrink in (1.0, np.inf):
+        for name, least in (("coarse", 2), ("refinements", 0)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
+        object.__setattr__(self, "shrink", _real("shrink", self.shrink))
+        if not self.shrink > 1.0:
             raise ValueError(f"invalid search budget {self}")
 
 
@@ -252,6 +236,7 @@ def maximize_E12_half_period(
     as a clip of the 2-vectors.
     """
     budget = _typed("budget", budget, SearchBudget)
+    theta1 = _real("theta1", theta1)
     forms = _half_period_forms(theta1)
     lo_a = lo_b = 0.0
     hi_a = hi_b = _HALF_PI
@@ -282,7 +267,7 @@ def maximize_E12_half_period(
         lo_b, hi_b = max(best_b - half_b, 0.0), min(best_b + half_b, _HALF_PI)
     state = QutritPairState(*best_amps)
     return MaximizationResult(
-        theta1=float(np.real(theta1)),
+        theta1=theta1,
         e_max=best_rank[0],
         argmax_state=state,
         argmax_invariants=invariants(state),
@@ -305,8 +290,10 @@ def emax_is_nondecreasing(results: list[MaximizationResult]) -> bool:
 
 def frontier_line(i1p: float) -> float:
     """Approximate straight-line lower frontier between the states A and B:
-    I2' = -(2/3) I1' - 1/6, valid for I1' in [1/3, 1/2]."""
-    if not _in_range("i1p", i1p, I1_MIN - INVARIANT_TOL, 0.5 + INVARIANT_TOL):
+    I2' = -(2/3) I1' - 1/6, valid for I1' in [1/3, 1/2].  ``i1p`` follows
+    the rule of ``qla._real``, so the line is a float."""
+    i1p = _real("i1p", i1p)
+    if not I1_MIN - INVARIANT_TOL <= i1p <= 0.5 + INVARIANT_TOL:
         raise ValueError(f"I1' = {i1p!r} outside the frontier domain [1/3, 1/2]")
     return -2.0 / 3.0 * i1p - 1.0 / 6.0
 
@@ -314,7 +301,7 @@ def frontier_line(i1p: float) -> float:
 def fit_I1_of_theta(theta1: float) -> float:
     """Quadratic-in-sin(2 theta) fit of the argmax invariant I1:
     -0.08756 sin^2(2 theta) - 0.07911 sin(2 theta) + 0.5."""
-    s = np.sin(2.0 * _real_angle("theta1", theta1))
+    s = np.sin(2.0 * _real("theta1", theta1))
     return float(-0.08756 * s**2 - 0.07911 * s + 0.5)
 
 
@@ -330,27 +317,38 @@ class LowerBoundary:
         return np.interp(query, self.i1p, self.i2p)
 
 
+#: Rows of the alpha axis that ``extract_lower_boundary`` fills and reduces
+#: at once: a block of the default 1201-point sweep holds 77k points.
+_BOUNDARY_BLOCK_ROWS = 64
+
+
 def extract_lower_boundary(grid_points: int = 1201, bins: int = 600) -> LowerBoundary:
     """Sweep the amplitude simplex densely and record, per I1' bin, the
-    sample of least I2' (at its own abscissa, which avoids binning bias).
-    A count below 2 ``grid_points`` or 1 bin, or not an integer, raises
-    ValueError naming it."""
-    for name, value, least in (("grid_points", grid_points, 2), ("bins", bins, 1)):
-        try:
-            small = not value >= least
-        except (TypeError, ValueError):  # not comparable with a number: _count refuses it
-            small = False
-        if small:
-            raise ValueError(f"{name} must be at least {least}, got {value!r}")
-    grid_points, bins = _count("grid_points", grid_points), _count("bins", bins)
+    sample of least I2' (at its own abscissa, which avoids binning bias),
+    the earliest in grid order on a tie.  A count below 2 ``grid_points``
+    or 1 bin, or not an integer, raises ValueError naming it.
+
+    The grid is filled and reduced ``_BOUNDARY_BLOCK_ROWS`` rows at a time:
+    each block keeps its own least I2' per bin (``lexsort`` is stable, so
+    the earliest point wins a tie), and replaces the sweep's only where it
+    is strictly less, so an earlier block keeps a tie too."""
+    grid_points, bins = _count("grid_points", grid_points, 2), _count("bins", bins, 1)
     axis = np.linspace(0.0, np.pi / 2, grid_points)
-    p = _grid_amplitudes(axis, axis) ** 2
-    i1 = (p**2).sum(axis=0)
-    i2p = (p**3).sum(axis=0) - 1.5 * i1
     edges = np.linspace(I1_MIN, 1.0, bins + 1)
-    bin_idx = np.clip(np.digitize(i1, edges) - 1, 0, bins - 1)
-    order = np.lexsort((i2p, bin_idx))
-    _, first = np.unique(bin_idx[order], return_index=True)
-    chosen = order[first]
-    sort = np.argsort(i1[chosen])
-    return LowerBoundary(i1[chosen][sort], i2p[chosen][sort])
+    least_i2p = np.full(bins, np.inf)  # every I2' is finite and negative
+    at_i1 = np.empty(bins)
+    for start in range(0, grid_points, _BOUNDARY_BLOCK_ROWS):
+        p = _grid_amplitudes(axis[start : start + _BOUNDARY_BLOCK_ROWS], axis) ** 2
+        i1 = (p**2).sum(axis=0)
+        i2p = (p**3).sum(axis=0) - 1.5 * i1
+        bin_idx = np.clip(np.digitize(i1, edges) - 1, 0, bins - 1)
+        order = np.lexsort((i2p, bin_idx))
+        block_bins, first = np.unique(bin_idx[order], return_index=True)
+        chosen = order[first]
+        better = i2p[chosen] < least_i2p[block_bins]
+        least_i2p[block_bins[better]] = i2p[chosen[better]]
+        at_i1[block_bins[better]] = i1[chosen[better]]
+    found = least_i2p < np.inf
+    i1, i2p = at_i1[found], least_i2p[found]
+    sort = np.argsort(i1)
+    return LowerBoundary(i1[sort], i2p[sort])

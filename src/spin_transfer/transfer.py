@@ -44,7 +44,7 @@ import numpy as np
 
 from .entanglement import XStateCoeffs, _xstate_negativities, clamp_negativity
 from .model import SUPPORTED_SOURCE_DIMS, TransferModel, full_evolution
-from .qla import Operator, _count, _real_angle, _typed
+from .qla import Operator, _count, _real, _typed
 
 QUBIT_SOURCE_PERIOD = 2.0 * np.pi
 QUTRIT_SOURCE_PERIOD = 4.0 * np.pi / 3.0
@@ -59,13 +59,13 @@ NORMALIZATION_TOL = 1e-12
 @dataclass(frozen=True)
 class QubitPairState:
     """Schmidt-form two-qubit pure state cos(theta)|00> + sin(theta)|11>.
-    ``theta`` is stored as a float; a non-finite angle or one with a
-    non-zero imaginary part raises ValueError."""
+    ``theta`` follows the rule of ``qla._real`` and is stored as the float
+    it returns."""
 
     theta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _real_angle("theta", self.theta))
+        object.__setattr__(self, "theta", _real("theta", self.theta))
 
     def state_vector(self) -> np.ndarray:
         vec = np.zeros(4, dtype=complex)
@@ -84,15 +84,10 @@ _AMPLITUDE_NAMES = ("k0", "k1", "k2")
 
 
 def _amplitude(name: str, value: float) -> float:
-    """``value`` as a float, with -0.0 as 0.0; negative and non-real values
-    are rejected, since a sign or phase changes the dynamics, and so is a
-    value that is not a number or does not fit a float (None, 10**400)."""
-    try:
-        real = float(np.real(value))
-        refused = np.imag(value) != 0 or real < 0
-    except (TypeError, ValueError, OverflowError):
-        refused = True
-    if refused:
+    """``value`` by the rule of ``qla._real``, with -0.0 as 0.0; a negative
+    value is refused too, since a sign (like a phase) changes the dynamics."""
+    real = _real(name, value)
+    if real < 0:
         raise ValueError(f"amplitude {name} = {value!r} is not a non-negative real number")
     return real + 0.0
 
@@ -100,9 +95,10 @@ def _amplitude(name: str, value: float) -> float:
 @dataclass(frozen=True)
 class QutritPairState:
     """Schmidt-form two-qutrit pure state k0|00> + k1|11> + k2|22> with
-    non-negative real amplitudes.  Negative and complex amplitudes are
-    rejected: their signs and phases change the transferred entanglement, so
-    no magnitude stands in for them."""
+    non-negative real amplitudes, each taken by the rule of ``qla._real``.
+    Negative and complex amplitudes are rejected: their signs and phases
+    change the transferred entanglement, so no magnitude stands in for
+    them."""
 
     k0: float
     k1: float
@@ -123,8 +119,8 @@ class QutritPairState:
     def normalized(cls, k0: float, k1: float, k2: float) -> "QutritPairState":
         amps = np.array([_amplitude(n, k) for n, k in zip(_AMPLITUDE_NAMES, (k0, k1, k2))])
         largest = amps.max()
-        if not 0.0 < largest < np.inf:  # NaN fails too
-            raise ValueError(f"cannot normalize {(k0, k1, k2)}: not finite or all zero")
+        if not largest > 0.0:
+            raise ValueError(f"cannot normalize {(k0, k1, k2)}: all zero")
         amps = amps / largest  # keeps the sum of squares in range
         amps = amps / np.linalg.norm(amps)
         return cls(float(amps[0]), float(amps[1]), float(amps[2]))
@@ -261,9 +257,9 @@ def evolve_reduced(tp: QubitPairState, sp: SourceState, t: float) -> Operator:
 
 def closed_form_rho12_qubit(theta1: float, theta2: float, t: float) -> XStateCoeffs:
     """Analytic reduced-state coefficients for a qubit source.  Both angles
-    and the time ``t`` follow the rule of ``qla._real_angle``."""
-    theta1, theta2 = _real_angle("theta1", theta1), _real_angle("theta2", theta2)
-    t = _real_angle("t", t)
+    and the time ``t`` follow the rule of ``qla._real``."""
+    theta1, theta2 = _real("theta1", theta1), _real("theta2", theta2)
+    t = _real("t", t)
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
     half_sin_sq = np.sin(t / 2) ** 2
@@ -288,9 +284,9 @@ def closed_form_rho12_qutrit(theta1: float, sp: QutritPairState, t: float) -> XS
     coefficients need not even form a density matrix.  They are kept
     verbatim as a regression artifact and quantified by
     ``qutrit_closed_form_discrepancy``.  ``theta1`` and ``t`` follow the
-    rule of ``qla._real_angle``.
+    rule of ``qla._real``.
     """
-    theta1, t = _real_angle("theta1", theta1), _real_angle("t", t)
+    theta1, t = _real("theta1", theta1), _real("t", t)
     sp = _typed("sp", sp, QutritPairState)
     k0, k1, k2 = sp.k0, sp.k1, sp.k2
     c, s = np.cos(theta1), np.sin(theta1)
@@ -330,12 +326,11 @@ def qutrit_closed_form_discrepancy(
     the numeric pipeline over a deterministic sample of (theta1, k, t).
 
     Includes the revival endpoints t = 0 and t = 4*pi/3, where the two
-    routes agree exactly.  ``seed`` and ``n_samples`` must be integers, and
-    ``n_samples`` at least 1.
+    routes agree exactly.  ``n_samples`` (at least 1) and ``seed`` (at
+    least 0) follow the rule of ``qla._count``.
     """
-    if _count("n_samples", n_samples) < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
-    rng = np.random.default_rng(_count("seed", seed))
+    n_samples = _count("n_samples", n_samples, 1)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     rows: list[dict[str, float]] = []
     special_t = (0.0, QUTRIT_HALF_PERIOD, QUTRIT_SOURCE_PERIOD)
     for i in range(n_samples):
@@ -437,7 +432,7 @@ def entanglement_curve(
     Raises ValueError, before any evolution, naming ``tp`` if it is not a
     ``QubitPairState``, then naming ``t_grid`` if it does
     not hold numbers (None, a string), then the first time that
-    ``qla._real_angle`` refuses (a non-zero imaginary part, NaN or +-inf),
+    ``qla._real`` refuses (a non-zero imaginary part, NaN or +-inf),
     then the first finite time whose phase m * Delta * t overflows.
     """
     tp = _typed("tp", tp, QubitPairState)
@@ -447,8 +442,8 @@ def entanglement_curve(
         bad = np.flatnonzero((flat.imag != 0.0) | ~np.isfinite(flat.real))
     except TypeError:  # not numbers: None, a string, an object array
         raise ValueError(f"t_grid must hold real numbers, got {reprlib.repr(t_grid)}") from None
-    if bad.size:  # the rule of _real_angle refuses this time
-        _real_angle(f"time at index {bad[0]}", flat[bad[0]].item())
+    if bad.size:  # the rule of _real refuses this time
+        _real(f"time at index {bad[0]}", flat[bad[0]].item())
     times = np.asarray(times.real, dtype=float)
     lo, hi = model_for_source(sp).pair_eigenvalues
     with np.errstate(over="ignore"):

@@ -503,15 +503,6 @@ class TestSchmidtAngle:
         with pytest.raises(ValueError):
             schmidt_angle_from_negativity(-0.1)
 
-    @pytest.mark.parametrize(
-        "value", [0.5 + 0j, np.complex128(0.5), np.complex64(0.5), np.array(0.5 + 0j)]
-    )
-    def test_any_complex_value_is_refused(self, value):
-        # numpy orders complex numbers by their real part, so 0 <= value <= 1 holds for a
-        # numpy complex 0.5; it is refused like a Python complex, not cast with a warning
-        with pytest.raises(ValueError, match=r"^negativity .* outside \[0, 1\]$"):
-            schmidt_angle_from_negativity(value)
-
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_inverts_schmidt_negativity(self, value):
         theta = schmidt_angle_from_negativity(value)

@@ -193,6 +193,22 @@ class TestSpectralProjectors:
         with pytest.raises(ValueError, match=f"eigenvalue {(lo + hi) / 2!r} is farther than tol"):
             spectral_projectors((perturbed, v), model.pair_eigenvalues)
 
+    @pytest.mark.parametrize("source_dim", [2, 3])
+    @pytest.mark.parametrize("offset, refused", [(2e-10, True), (5e-11, False)])
+    def test_grouping_tolerance_sits_at_its_edge(self, source_dim, offset, refused):
+        # an eigenvalue 2 tol from lambda_minus is refused, one tol/2 from it is grouped with it
+        model = TransferModel.for_source_dim(source_dim)
+        lo = model.pair_eigenvalues[0]
+        w, v = model.pair_eigh
+        perturbed = w.copy()
+        perturbed[0] = lo + offset
+        if refused:
+            with pytest.raises(ValueError, match=f"eigenvalue {lo + offset!r} is farther than tol"):
+                spectral_projectors((perturbed, v), model.pair_eigenvalues)
+        else:
+            got = spectral_projectors((perturbed, v), model.pair_eigenvalues)
+            assert np.array_equal(got, model.pair_projectors)
+
 
 class TestCachedEigendecomposition:
     """``pair_propagator`` evaluates the model's cached eigendecomposition;

@@ -166,7 +166,9 @@ class TestValidation:
             iterate_transfer(0.2, STATE_A, 0)
 
     @pytest.mark.parametrize("mode", [MODE_PURE_RESET, MODE_MIXED])
-    @pytest.mark.parametrize("e0", [1.5, -0.1, np.nan, "0.2", None, 0.5 + 0j, np.complex128(0.5)])
+    @pytest.mark.parametrize(
+        "e0", [1.5, -0.1, np.nan, "0.2", None, np.array([0.5]), 0.5 + 0.5j, np.complex128(0.5j)]
+    )
     def test_bad_e0_raises_before_any_evolution(self, mode, e0, monkeypatch):
         calls = []
         original = protocol.full_evolution
@@ -176,8 +178,11 @@ class TestValidation:
             return original(model, t)
 
         monkeypatch.setattr(protocol, "full_evolution", counted)
-        message = rf"^negativity {re.escape(repr(e0))} outside \[0, 1\]$"
-        with pytest.raises(ValueError, match=message):
+        if isinstance(e0, float) and np.isfinite(e0):
+            message = f"negativity {e0!r} outside [0, 1]"
+        else:
+            message = f"negativity must be finite and real, got {e0!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             iterate_transfer(e0, STATE_A, 2, mode)
         assert calls == []
         iterate_transfer(0.2, STATE_A, 2, mode)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from spin_transfer.entanglement import negativity
 from spin_transfer.qutritmax import (
+    _BOUNDARY_BLOCK_ROWS,
     FIG3_THETA_GRID,
     I1_MIN,
     InvariantPoint,
     SearchBudget,
     _form_negativity,
+    _grid_amplitudes,
     _half_period_forms,
     emax_is_nondecreasing,
     extract_lower_boundary,
@@ -190,7 +192,7 @@ class TestHalfPeriodEvaluator:
     def test_rejects_complex_column(self):
         # sum |k|^2 = 1.25; the cast to float would score (0.6, 0.8, 0)
         column = np.array([0.6, 0.8, 0.5j])
-        with pytest.raises(ValueError, match=r"amplitude k2 = 0\.5j is not a non-negative real"):
+        with pytest.raises(ValueError, match=r"^k2 must be finite and real, got 0\.5j$"):
             negativity_at_half_period(0.3, column)
 
     @pytest.mark.parametrize("state", [STATE_A, STATE_B, STATE_C])
@@ -353,7 +355,6 @@ class TestFrontier:
         [
             ({"grid_points": 1}, "grid_points"),
             ({"grid_points": 0}, "grid_points"),
-            ({"grid_points": np.nan}, "grid_points"),
             ({"bins": 0}, "bins"),
             ({"bins": -3}, "bins"),
         ],
@@ -364,7 +365,12 @@ class TestFrontier:
 
     @pytest.mark.parametrize(
         "args, name",
-        [((2.5, 3), "grid_points"), ((3, 2.5), "bins"), ((np.float64(3), 2), "grid_points")],
+        [
+            ((2.5, 3), "grid_points"),
+            ((3, 2.5), "bins"),
+            ((np.float64(3), 2), "grid_points"),
+            ((np.nan, 2), "grid_points"),
+        ],
     )
     def test_sweep_counts_are_integers(self, args, name):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
@@ -387,6 +393,25 @@ class TestFrontier:
         mid = (1 / 3 + 1 / 2) / 2
         gap = abs(frontier_line(mid) - boundary.i2p_at(mid))
         assert gap / abs(boundary.i2p_at(mid)) <= 0.01
+
+    @pytest.mark.parametrize("rows_past_blocks", [(0, 1), (1, 5), (1, 300), (2, 7), (9, 600)])
+    def test_block_sweep_is_the_one_shot_sweep(self, rows_past_blocks):
+        # grids of whole blocks plus a few rows, against the sweep that filled the whole grid
+        blocks, bins = rows_past_blocks
+        grid_points = blocks * _BOUNDARY_BLOCK_ROWS + 2
+        axis = np.linspace(0.0, np.pi / 2, grid_points)
+        p = _grid_amplitudes(axis, axis) ** 2
+        i1 = (p**2).sum(axis=0)
+        i2p = (p**3).sum(axis=0) - 1.5 * i1
+        edges = np.linspace(I1_MIN, 1.0, bins + 1)
+        bin_idx = np.clip(np.digitize(i1, edges) - 1, 0, bins - 1)
+        order = np.lexsort((i2p, bin_idx))
+        _, first = np.unique(bin_idx[order], return_index=True)
+        chosen = order[first]
+        sort = np.argsort(i1[chosen])
+        got = extract_lower_boundary(grid_points, bins)
+        assert got.i1p.tobytes() == i1[chosen][sort].tobytes()
+        assert got.i2p.tobytes() == i2p[chosen][sort].tobytes()
 
     def test_boundary_is_a_lower_envelope(self):
         # no region sample may undercut the extracted boundary by more than

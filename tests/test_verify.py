@@ -85,6 +85,20 @@ def test_a_nan_fails_the_report(monkeypatch):
     assert row["passed"] is False
 
 
+@pytest.mark.parametrize("delta, passed", [(2e-9, False), (5e-10, True)])
+def test_half_period_identity_tolerance_sits_at_its_edge(monkeypatch, delta, passed):
+    # every negativity moved by delta: 2 tol fails the check, tol/2 passes it
+    real = verify.negativity
+
+    def shifted(rho):
+        return SimpleNamespace(value=real(rho).value + delta)
+
+    monkeypatch.setattr(verify, "negativity", shifted)
+    result = verify.check_half_period_identity()
+    assert result.passed is passed
+    assert result.max_deviation == pytest.approx(delta, abs=1e-12)
+
+
 def test_a_non_integer_seed_is_refused_by_name():
     with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
         verify.run_checks(2.5)
