@@ -82,7 +82,10 @@ STEPS_LIMIT = 10_000
 
 def parse_angle(text: Any) -> float:
     """Angle or time in radians, finite and at most ANGLE_LIMIT in magnitude;
-    accepts plain floats and 'pi', 'pi/4', '3pi/32'."""
+    accepts plain floats and 'pi', 'pi/4', '3pi/32'.  A bool (a JSON
+    ``true``) is refused, not read as 1 rad."""
+    if isinstance(text, bool):
+        raise ConfigError(f"cannot parse angle {text!r}")
     try:
         value = float(text)
     except (TypeError, ValueError, OverflowError):

@@ -8,8 +8,9 @@ one-state case for an ``Operator``.  A state scores the same bits in a
 stack of any length as alone.  The X-state closed form serves the states
 that keep the X pattern, under one acceptance rule: the checks of
 ``_xstate_negativities``, the density checks of ``negativities`` written
-for that pattern (its least eigenvalue is exact).  It checks and scores a whole time grid of ``transfer.entanglement_curve``,
-and ``negativity_xstate`` is its one-state case; its Hermiticity and
+for that pattern (its least eigenvalue is exact).  It checks and scores a
+whole time grid of ``transfer.entanglement_curve``, and
+``negativity_xstate`` is its one-state case; its Hermiticity and
 X-pattern check, ``_check_x_form``, guards ``XStateCoeffs.from_operator``
 and the coefficient columns of a ``fig2`` table.  The same formula scores
 the half-period quadratic forms behind ``qutritmax.negativity_at_half_period``
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator, _real, _typed
+from .qla import DEFAULT_ALGEBRAIC_TOL, POSITIVITY_TOL, Operator, _finite_number, _real, _typed
 
 X_PATTERN = np.array(
     [
@@ -52,30 +53,13 @@ class NegativityValue:
         return cls(float(clamp_negativity(raw)), raw)
 
 
-def _check_coefficient(name: str, value, real: bool) -> None:
-    """Refuse an X-state coefficient that is not a number: a string, a
-    value ``complex()`` refuses (None, a list, an object, 10**400) and, if
-    ``real``, a non-zero imaginary part raise ValueError naming ``name``.
-    A NaN passes here; the X-state checks refuse it when it is scored."""
-    if not isinstance(value, str):
-        try:
-            z = complex(value)
-        except (TypeError, ValueError, OverflowError):
-            pass  # refused below, with the other cases
-        else:
-            if not real or z.imag == 0:
-                return
-    kind = "a real" if real else "a complex"
-    raise ValueError(f"{name} must be {kind} number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class XStateCoeffs:
     """The five independent entries of a two-qubit X state: diagonal
-    (a, b, c, d) and the outer anti-diagonal coherence f.  Each field is
-    stored as given, after ``_check_coefficient``: a diagonal entry must be
-    a real number (a complex one with zero imaginary part is taken), and f
-    any number."""
+    (a, b, c, d) and the outer anti-diagonal coherence f.  A diagonal entry
+    is stored as the float of the rule of ``qla._real``, and f as the finite
+    complex number ``qla._finite_number`` returns, so a NaN or an infinite
+    entry is refused where the coefficients are built, naming its field."""
 
     a: float
     b: float
@@ -85,8 +69,11 @@ class XStateCoeffs:
 
     def __post_init__(self) -> None:
         for name in "abcd":
-            _check_coefficient(name, getattr(self, name), real=True)
-        _check_coefficient("f", self.f, real=False)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        f = _finite_number(self.f)
+        if f is None:
+            raise ValueError(f"f must be a finite number, got {self.f!r}")
+        object.__setattr__(self, "f", f)
 
     def to_operator(self) -> Operator:
         m = np.zeros((4, 4), dtype=complex)
@@ -101,7 +88,7 @@ class XStateCoeffs:
         Hermiticity and X-pattern check of ``_xstate_negativities``."""
         m = _two_qubit_matrix(rho)
         _check_x_form(m[None])
-        return cls(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, complex(m[0, 3]))
+        return cls(m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real, m[0, 3])
 
 
 def clamp_negativity(raw) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .entanglement import clamp_negativity, negativities, schmidt_angle_from_negativity
 from .model import full_evolution
-from .qla import POSITIVITY_TOL, Operator, _count, _real
+from .qla import POSITIVITY_TOL, Operator, _count, _real, _typed
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     QubitPairState,
@@ -80,7 +80,7 @@ def iterate_transfer(
 ) -> list[IterationRecord]:
     """Run ``steps`` rounds of half-period coupling to fresh copies of ``sp``
     starting from target negativity ``e0``.  The half period is that of a
-    qutrit source, so ``sp`` must be a ``QutritPairState``.
+    qutrit source, so ``sp`` must be a ``QutritPairState`` (``qla._typed``).
 
     Both modes collect the ``steps + 1`` scores and the snapshots entering
     each round, and one comprehension makes the records from them.  Both
@@ -99,11 +99,7 @@ def iterate_transfer(
     the state after step i.  As there, the state named is the first one that
     fails the first failing check (Hermiticity, trace, then eigenvalues),
     which need not be the earliest bad state."""
-    if not isinstance(sp, QutritPairState):
-        raise ValueError(
-            f"iterate_transfer couples for the qutrit half period and needs a"
-            f" QutritPairState source, got {type(sp).__name__}"
-        )
+    sp = _typed("sp", sp, QutritPairState)
     steps = _count("steps", steps, 1)
     mode = canonical_mode(mode)
     theta0 = schmidt_angle_from_negativity(e0)

@@ -14,13 +14,18 @@ a pure source and the Fourier components of ``transfer.entanglement_curve``
 its form for the spectral parts of a pure state) and target A | target B
 (``entanglement.negativities``, and in closed form for X states), live next
 to the state layouts they depend on.  Dimensions stay tiny (at most 36).
+
+A caller's value is converted where it enters by one of four rules:
+``_real`` (a real number), ``_reals`` (an array of reals), ``_count`` and
+``_typed``; ``_finite_number`` is the one ``complex()`` conversion.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
+import reprlib
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -28,22 +33,53 @@ DEFAULT_ALGEBRAIC_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
 
 
+def _finite_number(value) -> complex | None:
+    """``value`` as a finite complex number, or None for a string, a value
+    ``complex()`` refuses (None, a list, a one-element array, 10**400) and a
+    value with a non-finite part."""
+    if isinstance(value, str):
+        return None
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return z if cmath.isfinite(z) else None
+
+
 def _real(name: str, value: float) -> float:
     """``value`` as a float, the one rule for a scalar real input (an angle,
-    a time, a negativity, an amplitude, an invariant, a shrink factor): a
-    string, a value ``complex()`` refuses, a value with a non-zero imaginary
-    part and a non-finite value raise ValueError naming ``name``; a complex
-    number with zero imaginary part is its real part.  A range is checked by
-    the caller on the float returned."""
-    if not isinstance(value, str):
-        try:
-            z = complex(value)
-        except (TypeError, ValueError, OverflowError):
-            pass  # refused below, with the other cases
-        else:
-            if z.imag == 0 and isfinite(z.real):
-                return z.real
-    raise ValueError(f"{name} must be finite and real, got {value!r}")
+    a time, a negativity, an amplitude, an invariant, a shrink factor, an
+    X-state diagonal entry): a value ``_finite_number`` refuses and a value
+    with a non-zero imaginary part raise ValueError naming ``name``; a
+    complex number with zero imaginary part is its real part.  A range is
+    checked by the caller on the float returned."""
+    z = _finite_number(value)
+    if z is None or z.imag != 0:
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+    return z.real
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """``value`` as a read-only float64 copy, the array form of ``_real``: a
+    value that is not an array of numbers (None, text, ``["0.5"]``,
+    ``[10**400]``, a ragged nesting) raises ValueError naming ``name``, and
+    so does, by the message of ``_real``, the first entry in flat order that
+    is not finite or has a non-zero imaginary part ("<name> at index i")."""
+    try:
+        array = np.asarray(value)  # a ragged nesting raises ValueError
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must hold real numbers, got {reprlib.repr(value)}")
+    reals = np.array(array.real, dtype=float)
+    ok = np.isfinite(reals)
+    if array.dtype.kind == "c":
+        ok &= array.imag == 0
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        _real(f"{name} at index {i}", array.ravel()[i].item())
+    reals.setflags(write=False)
+    return reals
 
 
 def _count(name: str, value: int, least: int) -> int:

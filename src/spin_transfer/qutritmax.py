@@ -28,7 +28,7 @@ import numpy as np
 
 from .entanglement import xstate_negativity_raw
 from .model import TransferModel, full_evolution
-from .qla import POSITIVITY_TOL, _count, _real, _typed
+from .qla import POSITIVITY_TOL, _count, _real, _reals, _typed
 from .transfer import (
     QUTRIT_HALF_PERIOD,
     STATE_A,
@@ -74,7 +74,8 @@ class InvariantPoint:
 
     @classmethod
     def from_probabilities(cls, p: np.ndarray) -> "InvariantPoint":
-        p = np.asarray(p, dtype=float)
+        """(sum p^2, sum p^3) of the probabilities ``p``, by ``qla._reals``."""
+        p = _reals("p", p)
         return cls(float(np.sum(p**2)), float(np.sum(p**3)))
 
 

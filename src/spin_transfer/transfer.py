@@ -36,7 +36,6 @@ pipeline, while a, d and f match it to rounding;
 from __future__ import annotations
 
 import functools
-import reprlib
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -44,7 +43,7 @@ import numpy as np
 
 from .entanglement import XStateCoeffs, _xstate_negativities, clamp_negativity
 from .model import SUPPORTED_SOURCE_DIMS, TransferModel, full_evolution
-from .qla import Operator, _count, _real, _typed
+from .qla import Operator, _count, _real, _reals, _typed
 
 QUBIT_SOURCE_PERIOD = 2.0 * np.pi
 QUTRIT_SOURCE_PERIOD = 4.0 * np.pi / 3.0
@@ -151,37 +150,21 @@ STATE_C = QutritPairState(1.0, 0.0, 0.0)
 SourceState = Union[QubitPairState, QutritPairState]
 
 
-def _real_array(name: str, value) -> np.ndarray:
-    """A read-only float copy of ``value``, which must hold real numbers
-    (bool, integer or float dtype), else ValueError naming ``name``: a
-    complex, a string or an object that is not a number (None, 10**400) is
-    refused, not converted."""
-    try:
-        array = np.asarray(value)  # a ragged nesting raises ValueError
-        if array.dtype.kind not in "biuf":
-            raise TypeError
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must hold real numbers, got {reprlib.repr(value)}") from None
-    array = np.array(array, dtype=float)
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True)
 class TransferTrace:
     """Time series of target-pair negativity for one scenario; it keeps its
     own read-only float copies of both arrays, each taken by the rule of
-    ``_real_array``, ``times`` first."""
+    ``qla._reals``, ``times`` first, so a NaN or infinite entry is refused."""
 
     times: np.ndarray
     negativities: np.ndarray
 
     def __post_init__(self) -> None:
-        times = _real_array("times", self.times)
-        values = _real_array("negativities", self.negativities)
+        times = _reals("times", self.times)
+        values = _reals("negativities", self.negativities)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and negativities must be 1-d arrays of equal length")
-        if not (times[1:] > times[:-1]).all():  # NaN fails too
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "negativities", values)
@@ -271,7 +254,7 @@ def closed_form_rho12_qubit(theta1: float, theta2: float, t: float) -> XStateCoe
         -c2 * s2 * half_sin_sq * (c1**2 + np.exp(2j * t) * s1**2)
         + c1 * s1 * half_cos_sq * (c2**2 + np.exp(2j * t) * s2**2)
     )
-    return XStateCoeffs(float(a), float(b), float(b), float(d), complex(f))
+    return XStateCoeffs(a, b, b, d, f)
 
 
 def closed_form_rho12_qutrit(theta1: float, sp: QutritPairState, t: float) -> XStateCoeffs:
@@ -314,9 +297,7 @@ def closed_form_rho12_qutrit(theta1: float, sp: QutritPairState, t: float) -> XS
         + 1 / 9 * k2 * s * (p1 * k2 * c + 2 * m2 * k1 * s)
         + em3 / 81 * (p2 * k1 * c + 2 * m2 * k0 * s) * (2 * m2 * k2 * c + p1 * k1 * s)
     )
-    return XStateCoeffs(
-        float(np.real(a)), float(np.real(b)), float(np.real(b)), float(np.real(d)), complex(f)
-    )
+    return XStateCoeffs(np.real(a), np.real(b), np.real(b), np.real(d), f)
 
 
 def qutrit_closed_form_discrepancy(
@@ -430,27 +411,21 @@ def entanglement_curve(
     target angles in [-3, 3], six sources).
 
     Raises ValueError, before any evolution, naming ``tp`` if it is not a
-    ``QubitPairState``, then naming ``t_grid`` if it does
-    not hold numbers (None, a string), then the first time that
-    ``qla._real`` refuses (a non-zero imaginary part, NaN or +-inf),
-    then the first finite time whose phase m * Delta * t overflows.
+    ``QubitPairState``, then naming ``t_grid`` if ``qla._reals`` refuses it
+    (it does not hold numbers, or an entry has a non-zero imaginary part or
+    is not finite), then if it is not a 1-d array, then naming the first time
+    whose phase m * Delta * t overflows.
     """
     tp = _typed("tp", tp, QubitPairState)
-    times = np.asarray(t_grid)
-    flat = times.ravel()
-    try:
-        bad = np.flatnonzero((flat.imag != 0.0) | ~np.isfinite(flat.real))
-    except TypeError:  # not numbers: None, a string, an object array
-        raise ValueError(f"t_grid must hold real numbers, got {reprlib.repr(t_grid)}") from None
-    if bad.size:  # the rule of _real refuses this time
-        _real(f"time at index {bad[0]}", flat[bad[0]].item())
-    times = np.asarray(times.real, dtype=float)
+    times = _reals("t_grid", t_grid)
+    if times.ndim != 1:
+        raise ValueError(f"t_grid must be a 1-d array, got shape {times.shape}")
     lo, hi = model_for_source(sp).pair_eigenvalues
     with np.errstate(over="ignore"):
-        phases = np.multiply.outer(times.ravel(), -(hi - lo) * _FOURIER_ORDERS)
+        phases = np.multiply.outer(times, -(hi - lo) * _FOURIER_ORDERS)
     bad = np.flatnonzero(~np.isfinite(phases).all(axis=1))
     if bad.size:
-        time = float(times.flat[bad[0]])
+        time = float(times[bad[0]])
         raise ValueError(f"time {time!r} at index {bad[0]} has a non-finite phase")
     rho = np.exp(1j * phases) @ _spectral_components(tp, sp).reshape(5, 16)
     values = clamp_negativity(_xstate_negativities(rho.reshape(-1, 4, 4)))

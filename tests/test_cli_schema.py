@@ -280,6 +280,17 @@ def test_bad_config_value_names_the_key(value, tmp_path, capsys):
     assert code == 2 and err.startswith("error: config key ")
 
 
+@pytest.mark.parametrize("key", ["theta1", "theta2", "t_start", "t_stop"])
+def test_a_json_true_is_not_an_angle(key, tmp_path, capsys):
+    # each angle key alone: no other key's refusal can stand in for it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: True}))
+    out = tmp_path / "x.csv"
+    code, err = run(["fig2", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2 and err == f"error: config key {key!r}: cannot parse angle True\n"
+    assert not out.exists()
+
+
 # Parsers: any text either parses to a finite value or valid object, or is
 # rejected with ConfigError (and never with a numpy warning).
 

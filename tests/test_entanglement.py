@@ -329,11 +329,12 @@ class TestXStateStack:
 XSTATE_KINDS = ["valid", "boundary", "small-ad", "trace", "nan"]
 
 
-def perturbed_xstate(rng, kind: str) -> XStateCoeffs:
-    """An X state with a Dirichlet diagonal and a coherence of any phase
-    with |f| <= sqrt(ad), perturbed by ``kind``: |f| within 1e-12..1e-2
-    (relative) of sqrt(ad) on either side, a and d within 1e-12..1e-4, a
-    diagonal off unit trace by 1e-11..1e-7, or a NaN in one entry."""
+def perturbed_xstate(rng, kind: str) -> list:
+    """The entries (a, b, c, d, f) of an X state with a Dirichlet diagonal
+    and a coherence of any phase with |f| <= sqrt(ad), perturbed by
+    ``kind``: |f| within 1e-12..1e-2 (relative) of sqrt(ad) on either side,
+    a and d within 1e-12..1e-4, a diagonal off unit trace by 1e-11..1e-7, or
+    a NaN in one entry."""
     a, b, c, d = rng.dirichlet(np.ones(4))
     reach = rng.uniform(0.0, 1.0)
     if kind == "small-ad":
@@ -353,7 +354,7 @@ def perturbed_xstate(rng, kind: str) -> XStateCoeffs:
         diag, f = entries[:4], entries[4]
     if kind in ("valid", "boundary", "small-ad"):
         diag = [x.real for x in diag]
-    return XStateCoeffs(*diag, f)
+    return [*diag, f]
 
 
 class TestNegativityValue:
@@ -399,10 +400,11 @@ class TestXStateFormula:
             negativity_xstate(XStateCoeffs(0.5, 0.5, 0.5, 0.5, 0.0))
         with pytest.raises(ValueError, match="state 0: eigenvalue -1.500e-01"):
             negativity_xstate(XStateCoeffs(0.25, 0.25, 0.25, 0.25, 0.4))
-        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
-            negativity_xstate(XStateCoeffs(np.nan, 0.25, 0.25, 0.5, 0.1))
-        with pytest.raises(ValueError, match=f"state 0: {X_DEFECT} nan"):
-            negativity_xstate(XStateCoeffs(0.25, 0.25, 0.25, 0.25, complex(np.nan, 0.0)))
+        # a NaN never reaches the X-state checks: it is refused where it enters
+        with pytest.raises(ValueError, match="^a must be finite and real, got nan$"):
+            XStateCoeffs(np.nan, 0.25, 0.25, 0.5, 0.1)
+        with pytest.raises(ValueError, match=r"^f must be a finite number, got \(nan\+0j\)$"):
+            XStateCoeffs(0.25, 0.25, 0.25, 0.25, complex(np.nan, 0.0))
 
     def test_small_corner_coherence_beyond_ad_is_refused(self):
         # |f|^2 = 9e-10 passes |f|^2 <= ad + 1e-9, but the least eigenvalue
@@ -419,8 +421,16 @@ class TestXStateFormula:
     @given(st.sampled_from(XSTATE_KINDS), st.integers(0, 2**32 - 1))
     def test_one_state_follows_the_stack_rule(self, kind, seed):
         # refused exactly when the one-state stack is, with its message;
-        # otherwise the scalar closed form, bit for bit
-        coeffs = perturbed_xstate(np.random.default_rng(seed), kind)
+        # otherwise the scalar closed form, bit for bit.  A NaN entry is
+        # refused where it enters, naming its field.
+        entries = perturbed_xstate(np.random.default_rng(seed), kind)
+        if kind == "nan":
+            field = "abcdf"[next(i for i, x in enumerate(entries) if np.isnan(x))]
+            rule = "a finite number" if field == "f" else "finite and real"
+            with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+                XStateCoeffs(*entries)
+            return
+        coeffs = XStateCoeffs(*entries)
         try:
             _xstate_negativities(coeffs.to_operator().matrix[None])
         except ValueError as stack_error:
@@ -440,7 +450,7 @@ class TestXStateFormula:
         diag = list(rng.dirichlet(np.ones(4)).astype(complex))
         field = int(rng.integers(4))
         diag[field] += 1j * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14.0, -8.0)
-        message = f"{'abcd'[field]} must be a real number, got {diag[field]!r}"
+        message = f"{'abcd'[field]} must be finite and real, got {diag[field]!r}"
         with pytest.raises(ValueError) as error:
             XStateCoeffs(*diag, 0.0)
         assert str(error.value) == message

@@ -1,10 +1,12 @@
-"""A state, a budget, an ``Operator``, an ``XStateCoeffs``, a real number or
-a count of the wrong kind is refused where it enters, by a ValueError naming
-the parameter and what it got, not by an AttributeError, TypeError or
-OverflowError from deeper down or an empty result.  Every scalar real slot
-follows the rule of ``qla._real`` and every count slot that of
-``qla._count``; the conversions a real slot accepts are listed once, in
-``ACCEPTED``, and each gives the bits of the real value."""
+"""A state, a budget, an ``Operator``, an ``XStateCoeffs``, a real number,
+an array of reals or a count of the wrong kind is refused where it enters,
+by a ValueError naming the parameter and what it got, not by an
+AttributeError, TypeError or OverflowError from deeper down or an empty
+result.  Every scalar real slot (an X-state diagonal entry too) follows the
+rule of ``qla._real``, every array slot that of ``qla._reals`` and every
+count slot that of ``qla._count``; the conversions a real or an array slot
+accepts are listed once, in ``ACCEPTED``, and each gives the bits of the
+float value."""
 
 import dataclasses
 import functools
@@ -84,10 +86,25 @@ CASES = {
         lambda: iterate_transfer(0.5, STATE_A, 2, ["mixed"]),
         "unknown mode ['mixed']; expected 'pure-reset' or 'mixed-continuation'",
     ),
+    "iterate_transfer-sp": (
+        lambda: iterate_transfer(0.2, QubitPairState(0.3), 2),
+        "sp must be of type QutritPairState, got QubitPairState",
+    ),
+    "iterate_transfer-sp-None": (
+        lambda: iterate_transfer(0.2, None, 2),
+        "sp must be of type QutritPairState, got NoneType",
+    ),
+    "entanglement_curve-scalar-grid": (
+        lambda: entanglement_curve(TP, STATE_A, 1.0),
+        "t_grid must be a 1-d array, got shape ()",
+    ),
+    "entanglement_curve-2-d-grid": (
+        lambda: entanglement_curve(TP, STATE_A, [[0, 1]]),
+        "t_grid must be a 1-d array, got shape (1, 2)",
+    ),
 }
 
-#: Values refused in every field of ``XStateCoeffs``, by id; a diagonal
-#: field also refuses ``COMPLEX_JUNK``.
+#: Values that are not one finite number, refused by every scalar slot, by id.
 COEFFICIENT_JUNK = {
     "None": None,
     "text": "x",
@@ -102,6 +119,13 @@ COMPLEX_JUNK = {"complex": 1 + 2j, "np.complex128": np.complex128(0.5 + 0.5j)}
 
 SMALL_BUDGET = SearchBudget(coarse=4, refinements=1)
 QUTRIT_MODEL = TransferModel.for_source_dim(3)
+
+
+def xstate_with(field, value):
+    fields = {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "f": 0.0}
+    fields[field] = value
+    return XStateCoeffs(**fields)
+
 
 #: Every scalar real slot by id: the name it is refused by and a call that
 #: puts a value into it.  Each call returns something ``bits`` can read.
@@ -134,6 +158,7 @@ REAL_SLOTS = {
     "InvariantPoint-i2": ("i2", lambda v: InvariantPoint(0.5, v)),
     "frontier_line": ("i1p", frontier_line),
     "SearchBudget-shrink": ("shrink", lambda v: SearchBudget(shrink=v)),
+    **{f"XStateCoeffs-{f}": (f, functools.partial(xstate_with, f)) for f in "abcd"},
 }
 #: A fractional value and an integer (None: no integer) that a slot takes,
 #: where they are not 0.4 and 1.
@@ -190,6 +215,83 @@ ACCEPTED = {
     for kind, value in accepted_conversions(*IN_RANGE.get(slot, (0.4, 1))).items()
 }
 
+#: Every array slot by id: the name it is refused by and a call that puts a
+#: value into it (a ``TransferTrace`` takes ``times`` first).
+ARRAY_SLOTS = {
+    "entanglement_curve-t_grid": ("t_grid", lambda v: entanglement_curve(TP, STATE_A, v)),
+    "TransferTrace-times": ("times", lambda v: TransferTrace(v, [0.5, 0.25])),
+    "TransferTrace-negativities": ("negativities", lambda v: TransferTrace([0.0, 1.0], v)),
+    "InvariantPoint.from_probabilities-p": ("p", InvariantPoint.from_probabilities),
+}
+#: Values refused by every array slot as not an array of numbers, by id.
+ARRAY_JUNK = {
+    "None": None,
+    "text": "x",
+    "object": COEFFICIENT_JUNK["object"],
+    "beyond-float": 10**400,
+    "list-of-numeric-text": ["0.5"],
+    "list-with-None": [1, None],
+    "list-beyond-float": [10**400],
+    "ragged": [[1, 2], [3]],
+}
+#: Arrays whose entry 1 is refused by every array slot, by id.
+ARRAY_ENTRY_JUNK = {
+    "list-of-complex": [0, 1 + 2j],
+    "list-of-tiny-imaginary": [0, 1e-300j],
+    "list-with-nan": [0, np.nan],
+    "list-with-inf": [0, np.inf],
+    "list-with--inf": [0, -np.inf],
+}
+CASES.update(
+    {
+        f"{slot}-{junk}": (
+            functools.partial(call, value),
+            f"{name} must hold real numbers, got {reprlib.repr(value)}",
+        )
+        for slot, (name, call) in ARRAY_SLOTS.items()
+        for junk, value in ARRAY_JUNK.items()
+    }
+)
+CASES.update(
+    {
+        f"{slot}-{junk}": (
+            functools.partial(call, value),
+            f"{name} at index 1 must be finite and real, got {value[1]!r}",
+        )
+        for slot, (name, call) in ARRAY_SLOTS.items()
+        for junk, value in ARRAY_ENTRY_JUNK.items()
+    }
+)
+CASES.update(
+    {
+        f"{slot}-{junk}": (
+            functools.partial(call, value),
+            f"{name} at index 0 must be finite and real, got {complex(value)!r}",
+        )
+        for slot, (name, call) in ARRAY_SLOTS.items()
+        for junk, value in COMPLEX_JUNK.items()
+    }
+)
+#: Arrays an array slot takes as the float array of the same values, by id:
+#: 0 and 1 as bools and integers, 0.25 and 0.75 in single precision and as
+#: complex numbers with zero imaginary part.
+ACCEPTED_ARRAYS = {
+    "bool": np.array([False, True]),
+    "int": [0, 1],
+    "np.int64": np.array([0, 1], dtype=np.int64),
+    "np.float32": np.array([0.25, 0.75], dtype=np.float32),
+    "complex-real": [0.25 + 0j, 0.75],
+    "np.complex128-real": np.array([0.25, 0.75], dtype=np.complex128),
+    "np.complex64-real": np.array([0.25, 0.75], dtype=np.complex64),
+}
+ACCEPTED.update(
+    {
+        f"{slot}-{kind}": (call, value)
+        for slot, (_, call) in ARRAY_SLOTS.items()
+        for kind, value in ACCEPTED_ARRAYS.items()
+    }
+)
+
 
 def bits(result):
     """``result`` as nested tuples of type names and bytes: two results are
@@ -207,7 +309,8 @@ def bits(result):
 
 @pytest.mark.parametrize("call, value", ACCEPTED.values(), ids=ACCEPTED)
 def test_real_slot_takes_the_bits_of_the_real_value(call, value):
-    assert bits(call(value)) == bits(call(float(value.real)))
+    real = np.array(np.real(value), dtype=float)
+    assert bits(call(value)) == bits(call(float(real) if real.ndim == 0 else real))
 
 
 #: Every count slot: (id, the name it is refused by, a call that puts a
@@ -270,49 +373,14 @@ CASES.update(
 )
 
 
-def trace_with(field, value):
-    fields = {"times": [0.0], "negativities": [0.5]}
-    fields[field] = value
-    return TransferTrace(**fields)
-
-
 CASES.update(
     {
-        f"TransferTrace-{field}-{name}": (
-            functools.partial(trace_with, field, value),
-            f"{field} must hold real numbers, got {reprlib.repr(value)}",
+        f"XStateCoeffs-f-{name}": (
+            functools.partial(xstate_with, "f", value),
+            f"f must be a finite number, got {value!r}",
         )
-        for field in ("times", "negativities")
-        for name, value in (
-            COMPLEX_JUNK
-            | {
-                "np.complex128-real": np.complex128(0.5),
-                "object": COEFFICIENT_JUNK["object"],
-                "beyond-float": 10**400,
-                "text": "x",
-                "list-of-complex": [0.0, 1 + 2j],
-                "list-of-numeric-text": ["0.5"],
-                "list-beyond-float": [10**400],
-            }
-        ).items()
-    }
-)
-
-
-def xstate_with(field, value):
-    fields = {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "f": 0.0}
-    fields[field] = value
-    return XStateCoeffs(**fields)
-
-
-CASES.update(
-    {
-        f"XStateCoeffs-{field}-{name}": (
-            functools.partial(xstate_with, field, value),
-            f"{field} must be {'a complex' if field == 'f' else 'a real'} number, got {value!r}",
-        )
-        for field in "abcdf"
-        for name, value in (COEFFICIENT_JUNK | ({} if field == "f" else COMPLEX_JUNK)).items()
+        for name, value in REAL_JUNK.items()
+        if name not in COMPLEX_JUNK
     }
 )
 
@@ -329,10 +397,18 @@ def test_refused_by_name(call, message):
     [0.25, 1, True, np.float32(0.25), np.float64(0.25), 0.25 + 0j, np.complex128(0.25)],
     ids=["float", "int", "bool", "float32", "float64", "complex-real", "np.complex128-real"],
 )
-def test_xstate_coefficients_are_stored_as_given(value):
+def test_xstate_coefficients_are_stored_with_the_same_bits(value):
     coeffs = XStateCoeffs(value, value, value, value, value)
-    assert all(getattr(coeffs, field) is value for field in "abcdf")
-    assert XStateCoeffs(0.25, 0.25, 0.25, 0.25, 1 + 2j).f == 1 + 2j
+    real, number = float(np.real(value)), complex(value)
+    assert bits(coeffs) == bits(XStateCoeffs(real, real, real, real, number))
+    assert all(type(getattr(coeffs, field)) is float for field in "abcd")
+    assert type(coeffs.f) is complex
+
+
+@pytest.mark.parametrize("f", [1 + 2j, np.complex128(0.5 - 0.5j), np.complex64(0.5 + 0.5j)])
+def test_xstate_coherence_is_any_finite_number(f):
+    coeffs = XStateCoeffs(0.25, 0.25, 0.25, 0.25, f)
+    assert bits(coeffs.f) == bits(complex(f))
 
 
 @pytest.mark.parametrize("shrink", [4, np.float32(2.5), np.int64(3)])
@@ -341,7 +417,8 @@ def test_search_budget_stores_shrink_as_a_float(shrink):
     assert type(budget.shrink) is float and budget.shrink == shrink
 
 
-def test_nan_coefficient_is_refused_when_scored():
-    coeffs = XStateCoeffs(np.nan, 0.25, 0.25, 0.25, 0.0)
-    with pytest.raises(ValueError, match="not a density operator: state 0"):
-        negativity_xstate(coeffs)
+def test_nan_coefficient_is_refused_when_built():
+    with pytest.raises(ValueError, match="^a must be finite and real, got nan$"):
+        XStateCoeffs(np.nan, 0.25, 0.25, 0.25, 0.0)
+    with pytest.raises(ValueError, match=r"^f must be a finite number, got \(nan\+0j\)$"):
+        XStateCoeffs(0.25, 0.25, 0.25, 0.25, complex(np.nan, 0.0))
